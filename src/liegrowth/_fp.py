@@ -1,20 +1,43 @@
 """Dense linear algebra modulo a prime, on top of numpy integer arrays.
 
-Entries stay below p, so int64 products never overflow for the primes this
-package cares about.  Nothing here is exposed publicly; the exact Z/p^s
-machinery lives in :mod:`liegrowth.zpmod`.
+Every numpy path picks its dtype through :func:`int_dtype`: int64 when each
+intermediate provably stays below 2^63, otherwise an ``object`` array of
+Python ints run through the same code.  Nothing here is exposed publicly;
+the exact Z/p^s machinery lives in :mod:`liegrowth.zpmod`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+INT64_MAX = 2 ** 63 - 1
+_pyint = np.frompyfunc(int, 1, 1)
+
+
+def int_dtype(modulus: int, terms: int = 1):
+    """int64 when a sum of ``terms`` products of two residues mod ``modulus``
+    stays below 2^63, else ``object`` (Python ints).  For rref, terms = 1:
+    int64 exactly for p <= 3037000499."""
+    return np.int64 if terms * modulus * modulus <= INT64_MAX else object
+
+
+def residues(matrix, modulus: int, terms: int = 1) -> np.ndarray:
+    """``matrix`` reduced mod ``modulus``, in the dtype ``int_dtype`` picks.
+
+    The object path converts every entry to a Python int first, so no numpy
+    scalar can wrap around inside it.
+    """
+    dtype = int_dtype(modulus, terms)
+    a = np.asarray(matrix)
+    if dtype is object or a.dtype == object:
+        a = _pyint(a) % modulus
+        return a if dtype is object else a.astype(np.int64)
+    return a.astype(np.int64, copy=False) % modulus
+
 
 def as_fp(matrix, p: int) -> np.ndarray:
-    a = np.asarray(matrix, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return a % p
+    a = residues(matrix, p)
+    return a.reshape(1, -1) if a.ndim == 1 else a
 
 
 def rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
@@ -52,21 +75,6 @@ def rank(matrix, p: int) -> int:
     return len(pivots)
 
 
-def coords_in_rowspace(rows: np.ndarray, pivots: list[int], vec, p: int):
-    """Coordinates of ``vec`` with respect to rref basis ``rows``.
-
-    Returns (coeffs, True) when the vector lies in the row space, otherwise
-    (partial coeffs, False).
-    """
-    v = as_fp(vec, p).ravel().copy()
-    coeffs = np.zeros(len(pivots), dtype=np.int64)
-    for k, c in enumerate(pivots):
-        coeffs[k] = v[c]
-        if coeffs[k]:
-            v = (v - coeffs[k] * rows[k]) % p
-    return coeffs, not np.any(v)
-
-
 def solve(matrix, target, p: int):
     """One solution x of ``matrix @ x = target`` mod p, or None."""
     m = as_fp(matrix, p)
@@ -76,7 +84,7 @@ def solve(matrix, target, p: int):
     rows, pivots = rref(aug, p)
     if ncols in pivots:
         return None
-    x = np.zeros(ncols, dtype=np.int64)
+    x = np.zeros(ncols, dtype=int_dtype(p))
     for k, c in enumerate(pivots):
         x[c] = rows[k, -1]
     return x

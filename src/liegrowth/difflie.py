@@ -28,10 +28,10 @@ from .freelie import (
     FreeNAElement,
     GeneratorSet,
     TensorElement,
-    _row_to_tensor,
+    _derive,
+    _lie_bases,
     _span_blocks,
     bracket,
-    lie_component,
     tree_degree,
     witt,
 )
@@ -64,18 +64,14 @@ class DifferentialSpec:
                 raise InputError(
                     f"d must lower degree by exactly 1 on generator {self.gens.names[i]}"
                 )
-        for i in range(self.gens.n):
-            dd = differentiate(self.images[i], _Partial(self.gens, self.images))
+        for i, img in enumerate(self.images):
+            # img is a combination of generators, so d(img) is the same
+            # combination of their images
+            dd = FreeNAElement(self.gens, tuple(
+                (t, c * x) for g, c in img.terms for t, x in self.images[g].terms
+            ))
             if not dd.is_zero():
                 raise InputError(f"d*d is nonzero on generator {self.gens.names[i]}")
-
-
-class _Partial:
-    """Duck-typed stand-in so validation can call differentiate on itself."""
-
-    def __init__(self, gens, images):
-        self.gens = gens
-        self.images = images
 
 
 def differential_pair(p: int, deg_x: int, r: int = 1):
@@ -183,24 +179,11 @@ def _rank_data(gens: GeneratorSet, spec: DifferentialSpec, k: int):
     p = gens.ring.p
     blocks = _span_blocks(gens, k, p)
     dims = {deg: len(rows) for deg, (_, rows, _) in blocks.items() if len(rows)}
-    ranks = {}
-    for deg, (words, rows, _) in blocks.items():
-        if not len(rows):
-            continue
-        target = blocks.get(deg - 1)
-        if target is None or not len(target[0]):
-            ranks[deg] = 0
-            continue
-        t_words = target[0]
-        t_index = {w: i for i, w in enumerate(t_words)}
-        imgs = []
-        for row in rows:
-            image = differentiate(_row_to_tensor(gens, words, row), spec)
-            vec = np.zeros(len(t_words), dtype=np.int64)
-            for w, c in image.terms:
-                vec[t_index[w]] = c % p
-            imgs.append(vec)
-        ranks[deg] = _fp.rank(np.array(imgs, dtype=np.int64), p) if imgs else 0
+    ranks = {
+        deg: _fp.rank(_derive(gens, spec.images, k, deg, blocks[deg][1], p), p)
+        if deg - 1 in blocks else 0
+        for deg in dims
+    }
     return dims, ranks
 
 
@@ -227,26 +210,20 @@ def homology(gens: GeneratorSet, spec: DifferentialSpec, k: int, u: int = 1):
 
 
 def _homology_decompositions(gens, spec, k, u):
+    bases = _lie_bases(gens, k, u)
     ring_u = RingSpec(gens.ring.p, u)
     p, modulus = ring_u.p, ring_u.modulus
-    dims_mod, basis = lie_component(gens, k, u)
-    by_degree: dict[int, list[TensorElement]] = {}
-    for elem in basis:
-        by_degree.setdefault(elem.degree, []).append(elem)
     cycle_comps: dict[int, tuple[int, ...]] = {}
     boundary_comps: dict[int, tuple[int, ...]] = {}
-    for deg in sorted(by_degree):
-        elems = by_degree[deg]
-        images = [differentiate(e, spec) for e in elems]
-        words = sorted({w for img in images for w, _ in img.terms})
-        index = {w: i for i, w in enumerate(words)}
-        img_rows = []
-        for img in images:
-            vec = [0] * len(words)
-            for w, c in img.terms:
-                vec[index[w]] = c % modulus
-            img_rows.append(vec)
-        if words:
+    for deg, _, _, elems in bases:
+        if not elems:
+            continue
+        # Images are taken mod the ring modulus, as differentiate does, so
+        # the columns kept are exactly the words with a nonzero coefficient.
+        images = _derive(gens, spec.images, k, deg, elems, gens.ring.modulus)
+        img_cols = images[:, (images != 0).any(axis=0)] % modulus
+        img_rows = img_cols.tolist()
+        if img_cols.shape[1]:
             _, _, _, _, vals = smith_normal_form_matrix(img_rows, ring_u)
             b_exps = tuple(u - v for v in vals if v < u)
             if b_exps:
@@ -256,11 +233,8 @@ def _homology_decompositions(gens, spec, k, u):
         # Kernel of d on the span: columns of M are the images d(basis_j);
         # solve M c = 0 over Z/p^u, then decompose the kernel submodule.
         n_basis = len(elems)
-        if words:
-            m_cols = [
-                [img_rows[j][i] for j in range(n_basis)] for i in range(len(words))
-            ]
-            _, _, v, _, vals = smith_normal_form_matrix(m_cols, ring_u)
+        if img_cols.shape[1]:
+            _, _, v, _, vals = smith_normal_form_matrix(img_cols.T.tolist(), ring_u)
             kernel_coeffs = []
             for pos in range(n_basis):
                 if pos < len(vals):
@@ -278,15 +252,11 @@ def _homology_decompositions(gens, spec, k, u):
                 [1 if i == j else 0 for j in range(n_basis)] for i in range(n_basis)
             ]
         if kernel_coeffs:
-            all_words = sorted({w for e in elems for w, _ in e.terms})
-            widx = {w: i for i, w in enumerate(all_words)}
-            vec_rows = []
-            for coeffs in kernel_coeffs:
-                vec = [0] * len(all_words)
-                for c, e in zip(coeffs, elems):
-                    for w, x in e.terms:
-                        vec[widx[w]] = (vec[widx[w]] + c * x) % modulus
-                vec_rows.append(vec)
+            elem_rows = _fp.residues(elems, modulus, n_basis)
+            elem_cols = elem_rows[:, (elem_rows != 0).any(axis=0)]
+            vec_rows = (
+                _fp.residues(kernel_coeffs, modulus, n_basis) @ elem_cols % modulus
+            ).tolist()
             if any(any(r) for r in vec_rows):
                 _, _, _, _, vals = smith_normal_form_matrix(vec_rows, ring_u)
                 z_exps = tuple(u - v for v in vals if v < u)
@@ -389,7 +359,9 @@ class BigradedComplex:
             below = diffs.get((deg - 1, w))
             if below is None:
                 continue
-            prod = np.array(below, dtype=np.int64) @ np.array(mat, dtype=np.int64)
+            prod = _fp.residues(below, self.p, len(mat)) @ _fp.residues(
+                mat, self.p, len(mat)
+            )
             if np.any(prod % self.p):
                 raise InputError(f"d*d is nonzero at {(deg, w)}")
 
@@ -415,29 +387,21 @@ def bigraded_complex(gens: GeneratorSet, spec: DifferentialSpec, weights):
     for w in weights:
         blocks = _span_blocks(gens, w, p)
         for deg in sorted(blocks):
-            words, rows, _ = blocks[deg]
+            _, rows, _ = blocks[deg]
             if not len(rows):
                 continue
             ranks.append(((deg, w), len(rows)))
             target = blocks.get(deg - 1)
             if target is None or not len(target[1]):
                 continue
-            t_words, t_rows, t_piv = target
-            t_index = {word: i for i, word in enumerate(t_words)}
-            cols = []
-            for row in rows:
-                image = differentiate(_row_to_tensor(gens, words, row), spec)
-                vec = np.zeros(len(t_words), dtype=np.int64)
-                for word, c in image.terms:
-                    vec[t_index[word]] = c % p
-                coords, ok = _fp.coords_in_rowspace(t_rows, list(t_piv), vec, p)
-                if not ok:
-                    raise AssertionError("differential left the commutator span")
-                cols.append(coords)
-            mat = tuple(
-                tuple(int(cols[j][i]) for j in range(len(cols)))
-                for i in range(len(t_rows))
-            )
+            _, t_rows, t_piv = target
+            images = _derive(gens, spec.images, w, deg, rows, p)
+            coords = images[:, list(t_piv)]
+            bound = len(t_piv) + 1
+            span = _fp.residues(coords, p, bound) @ _fp.residues(t_rows, p, bound)
+            if np.any((span - _fp.residues(images, p, bound)) % p):
+                raise AssertionError("differential left the commutator span")
+            mat = tuple(map(tuple, coords.T.tolist()))
             diffs.append(((deg, w), mat))
     return BigradedComplex(p, tuple(ranks), tuple(diffs))
 

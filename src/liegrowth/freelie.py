@@ -107,14 +107,6 @@ def tree_from_names(data, gens: GeneratorSet):
     return (tree_from_names(left, gens), tree_from_names(right, gens))
 
 
-def right_normed_tree(word):
-    """The bracket [w0, [w1, [... wk]]] for a tuple of generator indices."""
-    tree = word[-1]
-    for c in reversed(word[:-1]):
-        tree = (c, tree)
-    return tree
-
-
 # ---------------------------------------------------------------------------
 # Elements of L'(V) and of T(V)
 
@@ -379,6 +371,13 @@ def hall_basis(n_gens: int, max_weight: int) -> HallBasis:
 
 # ---------------------------------------------------------------------------
 # Weighted components of the commutator span
+#
+# The rank computations run on word codes: the weight-k word
+# (w_0, ..., w_{k-1}) is the base-n integer w_0 n^{k-1} + ... + w_{k-1}, so
+# numeric order is the lexicographic order of the tuples.  Rows of a
+# (weight, degree) block are numpy arrays over that block's sorted codes.
+# embed_tensor and TensorElement stay the readable reference path; the
+# oracle tests pin this kernel to them.
 
 
 def _check_word_guard(gens: GeneratorSet, k: int):
@@ -388,56 +387,177 @@ def _check_word_guard(gens: GeneratorSet, k: int):
         )
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@functools.lru_cache(maxsize=None)
+def _word_codes(degrees: tuple, k: int):
+    """The weight-k word codes over generators of the given degrees.
+
+    Returns (blocks, index): ``blocks`` maps each degree to the sorted
+    read-only code array of its words, and ``index[code]`` is the position
+    of ``code`` inside its block.
+    """
+    n = len(degrees)
+    codes = np.arange(n ** k)
+    word_degree = np.zeros(n ** k, dtype=np.int64)
+    rest = codes.copy()
+    for _ in range(k):
+        word_degree += np.asarray(degrees)[rest % n]
+        rest //= n
+    index = np.empty(n ** k, dtype=np.intp)
+    blocks = {}
+    for deg in np.unique(word_degree).tolist():
+        block = np.flatnonzero(word_degree == deg)
+        index[block] = np.arange(len(block))
+        blocks[deg] = _frozen(block)
+    return blocks, _frozen(index)
+
+
+def _code_words(codes: np.ndarray, n: int, k: int) -> list:
+    """Word tuples of the given weight-k codes."""
+    digits = codes[:, None] // n ** np.arange(k - 1, -1, -1) % n
+    return [tuple(w) for w in digits.tolist()]
+
+
+def _ad(gens: GeneratorSet, a: int, k: int, deg: int, rows, modulus: int):
+    """[a, X] for each row X of the weight-(k-1) block of degree ``deg``.
+
+    Returns rows of the weight-k block of degree deg + |a|, mod ``modulus``:
+    a prepend scatter minus (-1)^{|a| deg} times an append scatter.
+    """
+    src = _word_codes(gens.degrees, k - 1)[0][deg]
+    blocks, index = _word_codes(gens.degrees, k)
+    rows = _fp.residues(rows, modulus)
+    out = np.zeros((len(rows), len(blocks[deg + gens.degrees[a]])), dtype=rows.dtype)
+    out[:, index[a * gens.n ** (k - 1) + src]] += rows
+    if gens.degrees[a] * deg % 2:
+        out[:, index[src * gens.n + a]] += rows
+    else:
+        out[:, index[src * gens.n + a]] -= rows
+    return out % modulus
+
+
+def _derive(gens: GeneratorSet, images, k: int, deg: int, rows, modulus: int):
+    """The derivation with the given generator images on a row block.
+
+    ``images`` holds one weight-1 FreeNAElement per generator.  Returns d of
+    each row of the weight-k block of degree ``deg`` as rows of the degree
+    deg - 1 block, mod ``modulus``: one Koszul-signed scatter-add per
+    (position, letter, image term), where the letter at position i becomes
+    a term of its image with sign (-1) to the degree of the letters before i.
+    """
+    n = gens.n
+    blocks, index = _word_codes(gens.degrees, k)
+    codes = blocks[deg]
+    terms = [(letter, g, c) for letter in range(n) for g, c in images[letter].terms]
+    bound = k * len(terms)  # summands that can land on one entry
+    rows = _fp.residues(rows, modulus, bound)
+    out = np.zeros((len(rows), len(blocks.get(deg - 1, ()))), dtype=rows.dtype)
+    odd_prefix = np.zeros(len(codes), dtype=np.intp)
+    for i in range(k):
+        place = n ** (k - 1 - i)
+        digit = codes // place % n
+        for letter, g, c in terms:
+            src = np.flatnonzero(digit == letter)
+            signed = _fp.residues([c, -c], modulus, bound)[odd_prefix[src]]
+            out[:, index[codes[src] + (g - letter) * place]] += rows[:, src] * signed
+        odd_prefix ^= np.asarray(gens.degrees)[digit] % 2
+    return out % modulus
+
+
 @functools.lru_cache(maxsize=None)
 def _span_blocks(gens: GeneratorSet, k: int, p: int):
-    """Per-degree word bases and rref span bases of the weight-k commutator span.
+    """Per-degree word codes and rref span bases of the weight-k commutator span.
 
-    Returns a dict degree -> (words, rows, pivots) where ``words`` is the
-    sorted tuple of weight-k words of that degree, ``rows`` the rref basis
-    (numpy, mod p) of the span in those word coordinates.  Callers must not
-    mutate the arrays.  The span is generated by the right-normed brackets
-    [g_{i_1}, [g_{i_2}, [...]]], which suffice: the Jacobi identity rewrites
-    any bracketing as an integer combination of right-normed ones.
+    Returns a dict degree -> (codes, rows, pivots): ``codes`` are the block's
+    sorted word codes and ``rows`` the read-only rref basis (numpy, mod p)
+    of the span in those coordinates.  Since L_k = [V, L_{k-1}], the span is
+    generated by ad_a applied to the cached weight-(k-1) basis, for every
+    generator a; rref is unique, so the blocks equal those of the n^k
+    right-normed brackets.
     """
     _check_word_guard(gens, k)
-    import itertools
-
-    by_degree: dict[int, list] = {}
-    words_by_degree: dict[int, list] = {}
-    index_by_degree: dict[int, dict] = {}
-    for word in itertools.product(range(gens.n), repeat=k):
-        deg = sum(gens.degrees[i] for i in word)
-        words_by_degree.setdefault(deg, []).append(word)
-    for deg, words in words_by_degree.items():
-        words.sort()
-        index_by_degree[deg] = {w: i for i, w in enumerate(words)}
-        by_degree[deg] = []
-    for word in itertools.product(range(gens.n), repeat=k):
-        tree = right_normed_tree(word)
-        elem = embed_tensor(FreeNAElement.from_tree(gens, tree))
-        if elem.is_zero():
-            continue
-        deg = elem.degree
-        row = np.zeros(len(words_by_degree[deg]), dtype=np.int64)
-        idx = index_by_degree[deg]
-        for w, c in elem.terms:
-            row[idx[w]] = c % p
-        by_degree[deg].append(row)
+    blocks = _word_codes(gens.degrees, k)[0]
+    if k == 1:
+        spans = {deg: [np.eye(len(codes), dtype=np.int64)] for deg, codes in blocks.items()}
+    else:
+        spans = {deg: [] for deg in blocks}
+        for deg, (_, rows, _) in _span_blocks(gens, k - 1, p).items():
+            if len(rows):
+                for a in range(gens.n):
+                    spans[deg + gens.degrees[a]].append(_ad(gens, a, k, deg, rows, p))
     out = {}
-    for deg, rows in by_degree.items():
-        if rows:
-            basis, pivots = _fp.rref(np.array(rows, dtype=np.int64), p)
+    for deg, codes in blocks.items():
+        if spans[deg]:
+            basis, pivots = _fp.rref(np.concatenate(spans[deg]), p)
         else:
-            basis = np.zeros((0, len(words_by_degree[deg])), dtype=np.int64)
-            pivots = []
-        out[deg] = (tuple(words_by_degree[deg]), basis, tuple(pivots))
+            basis, pivots = np.zeros((0, len(codes)), dtype=_fp.int_dtype(p)), []
+        out[deg] = (codes, _frozen(basis), tuple(pivots))
     return out
+
+
+def _right_normed_rows(gens: GeneratorSet, k: int) -> dict:
+    """Rows of every right-normed bracket [w_0, [w_1, [... w_{k-1}]]].
+
+    Returns degree -> rows mod the ring modulus of ``gens``, one row per
+    weight-k word of that degree, in word order (zero rows included).
+    """
+    modulus = gens.ring.modulus
+    rows = {
+        deg: _fp.residues(np.eye(len(codes), dtype=np.int64), modulus)
+        for deg, codes in _word_codes(gens.degrees, 1)[0].items()
+    }
+    for j in range(2, k + 1):
+        rows = {
+            deg: np.concatenate([
+                _ad(gens, a, j, deg - gens.degrees[a], rows[deg - gens.degrees[a]], modulus)
+                for a in range(gens.n) if deg - gens.degrees[a] in rows
+            ])
+            for deg in _word_codes(gens.degrees, j)[0]
+        }
+    return rows
 
 
 def _row_to_tensor(gens, words, row) -> TensorElement:
     return TensorElement(
         gens, tuple((w, int(c)) for w, c in zip(words, row) if c % gens.ring.modulus)
     )
+
+
+def _lie_bases(gens: GeneratorSet, k: int, u: int):
+    """(degree, codes, exponents, basis rows) for each nonzero degree of the
+    weight-k span over Z/p^u, in ascending degree; see lie_component."""
+    if not 1 <= u <= gens.ring.s:
+        raise InvalidExponentError(f"coefficient exponent {u} outside [1, {gens.ring.s}]")
+    _check_word_guard(gens, k)
+    p = gens.ring.p
+    if u == 1:
+        blocks = _span_blocks(gens, k, p)
+        return [
+            (deg, codes, (1,) * len(rows), rows.tolist())
+            for deg, (codes, rows, _) in sorted(blocks.items()) if len(rows)
+        ]
+    ring_u = RingSpec(p, u)
+    codes_by_degree = _word_codes(gens.degrees, k)[0]
+    out = []
+    for deg, rows in sorted(_right_normed_rows(gens, k).items()):
+        rows = rows[(rows != 0).any(axis=1)]
+        if not len(rows):
+            continue
+        _, _, _, vinv, vals = smith_normal_form_matrix(
+            (rows % ring_u.modulus).tolist(), ring_u
+        )
+        exps, basis = [], []
+        for pos, v in enumerate(vals):
+            if v >= u:
+                break
+            exps.append(u - v)
+            basis.append([(p ** v) * x % ring_u.modulus for x in vinv[pos]])
+        out.append((deg, codes_by_degree[deg], tuple(exps), basis))
+    return out
 
 
 def lie_component(gens: GeneratorSet, k: int, u: int):
@@ -449,58 +569,16 @@ def lie_component(gens: GeneratorSet, k: int, u: int):
     the basis elements returned are p^v times rows of the inverse column
     transform, ordered to match the exponent lists.
     """
-    if not 1 <= u <= gens.ring.s:
-        raise InvalidExponentError(f"coefficient exponent {u} outside [1, {gens.ring.s}]")
-    _check_word_guard(gens, k)
-    p = gens.ring.p
-    ring_u = RingSpec(p, u)
+    bases = _lie_bases(gens, k, u)
+    ring_u = RingSpec(gens.ring.p, u)
+    out_gens = GeneratorSet(gens.names, gens.degrees, ring_u)
     comps: dict[int, tuple[int, ...]] = {}
     basis: list[TensorElement] = []
-    out_gens = GeneratorSet(gens.names, gens.degrees, ring_u)
-    if u == 1:
-        blocks = _span_blocks(gens, k, p)
-        for deg in sorted(blocks):
-            words, rows, _ = blocks[deg]
-            if len(rows):
-                comps[deg] = (1,) * len(rows)
-                for row in rows:
-                    basis.append(_row_to_tensor(out_gens, words, row))
-        return GradedModule.from_dict(ring_u, comps), basis
-
-    import itertools
-
-    modulus = ring_u.modulus
-    by_degree: dict[int, list] = {}
-    words_by_degree: dict[int, list] = {}
-    for word in itertools.product(range(gens.n), repeat=k):
-        deg = sum(gens.degrees[i] for i in word)
-        words_by_degree.setdefault(deg, []).append(word)
-    for deg in words_by_degree:
-        words_by_degree[deg].sort()
-    for word in itertools.product(range(gens.n), repeat=k):
-        tree = right_normed_tree(word)
-        elem = embed_tensor(FreeNAElement.from_tree(gens, tree))
-        if elem.is_zero():
-            continue
-        deg = elem.degree
-        idx = {w: i for i, w in enumerate(words_by_degree[deg])}
-        row = [0] * len(words_by_degree[deg])
-        for w, c in elem.terms:
-            row[idx[w]] = c % modulus
-        by_degree.setdefault(deg, []).append(row)
-    for deg in sorted(by_degree):
-        rows = by_degree[deg]
-        words = tuple(words_by_degree[deg])
-        _, _, _, vinv, vals = smith_normal_form_matrix(rows, ring_u)
-        exps = []
-        for pos, v in enumerate(vals):
-            if v >= u:
-                break
-            exps.append(u - v)
-            scaled = [(p ** v) * x % modulus for x in vinv[pos]]
-            basis.append(_row_to_tensor(out_gens, words, scaled))
+    for deg, codes, exps, rows in bases:
         if exps:
-            comps[deg] = tuple(exps)
+            comps[deg] = exps
+        words = _code_words(codes, gens.n, k)
+        basis.extend(_row_to_tensor(out_gens, words, row) for row in rows)
     return GradedModule.from_dict(ring_u, comps), basis
 
 

@@ -8,23 +8,34 @@ import itertools
 import random
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liegrowth import _fp
 from liegrowth.difflie import (
     BigradedComplex,
+    DifferentialSpec,
     acyclic_basis,
     differential_pair,
+    differentiate,
     homology,
 )
 from liegrowth.freelie import (
     FreeNAElement,
     GeneratorSet,
+    TensorElement,
+    _code_words,
+    _derive,
+    _right_normed_rows,
+    _span_blocks,
+    _word_codes,
     basic_products,
     embed_tensor,
     lie_component,
     witt,
 )
-from liegrowth.zpmod import RingSpec
+from liegrowth.zpmod import GradedModule, RingSpec, smith_normal_form_matrix
 
 
 def all_bracketings(word):
@@ -181,3 +192,214 @@ class TestAcyclicBasisOnRandomComplexes:
                 assert top[0][0] % 2 == 0
             for top, _ in basis.odd_pairs:
                 assert top[0][0] % 2 == 1
+
+
+# ---------------------------------------------------------------------------
+# The word-code kernel against the embed_tensor / differentiate reference
+
+
+def right_normed(word):
+    tree = word[-1]
+    for c in reversed(word[:-1]):
+        tree = (c, tree)
+    return tree
+
+
+def reference_generator_rows(gens, k):
+    """Words per degree, and the rows of every nonzero right-normed bracket
+    [w_0, [w_1, ...]] per degree in word order, built with embed_tensor."""
+    words = {}
+    for word in itertools.product(range(gens.n), repeat=k):
+        words.setdefault(sum(gens.degrees[i] for i in word), []).append(word)
+    rows = {}
+    for word in itertools.product(range(gens.n), repeat=k):
+        elem = embed_tensor(FreeNAElement.from_tree(gens, right_normed(word)))
+        if elem.is_zero():
+            continue
+        idx = {w: i for i, w in enumerate(words[elem.degree])}
+        row = [0] * len(idx)
+        for w, c in elem.terms:
+            row[idx[w]] = c
+        rows.setdefault(elem.degree, []).append(row)
+    return words, rows
+
+
+@st.composite
+def generator_sets(draw, max_s=1):
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    s = draw(st.integers(1, max_s))
+    k = draw(st.integers(1, 6))
+    names = [f"g{i}" for i in range(len(degrees))]
+    return GeneratorSet.build(list(zip(names, degrees)), RingSpec(p, s)), k
+
+
+@st.composite
+def differentials(draw):
+    gens, k = draw(generator_sets(max_s=2))
+    images = []
+    for i, deg in enumerate(gens.degrees):
+        below = [j for j in range(gens.n) if gens.degrees[j] == deg - 1]
+        coeffs = [draw(st.integers(0, gens.ring.modulus - 1)) for _ in below]
+        images.append(dict(zip(below, coeffs)))
+    # a generator hit by some image maps to zero, which makes d*d = 0
+    for j in {j for img in images for j, c in img.items() if c}:
+        images[j] = {}
+    spec = DifferentialSpec(gens, tuple(
+        FreeNAElement(gens, tuple(img.items())) for img in images
+    ))
+    return gens, spec, k
+
+
+def largest_case(p, s):
+    gens = GeneratorSet.build([("a", 1), ("b", 2), ("c", 3)], RingSpec(p, s))
+    return gens, 6
+
+
+class TestWordCodeKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(generator_sets())
+    @example(largest_case(2, 1))
+    def test_span_blocks_match_embed_tensor(self, case):
+        gens, k = case
+        p = gens.ring.p
+        words, rows = reference_generator_rows(gens, k)
+        blocks = _span_blocks(gens, k, p)
+        assert sorted(blocks) == sorted(words)
+        for deg, (codes, basis, pivots) in blocks.items():
+            assert _code_words(codes, gens.n, k) == words[deg]
+            if deg in rows:
+                ref, ref_pivots = _fp.rref(np.array(rows[deg]), p)
+            else:
+                ref, ref_pivots = np.zeros((0, len(words[deg]))), []
+            assert basis.tolist() == ref.tolist()
+            assert pivots == tuple(ref_pivots)
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_sets(max_s=3))
+    @example(largest_case(3, 2))
+    def test_generator_matrices_match_row_for_row(self, case):
+        gens, k = case
+        _, rows = reference_generator_rows(gens, k)
+        kernel = {}
+        for deg, mat in _right_normed_rows(gens, k).items():
+            live = mat[(mat != 0).any(axis=1)]
+            if len(live):
+                kernel[deg] = live.tolist()
+        assert kernel == rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(differentials(), st.randoms(use_true_random=False))
+    def test_derivation_scatter_matches_differentiate(self, case, rng):
+        gens, spec, k = case
+        modulus = gens.ring.modulus
+        blocks = _word_codes(gens.degrees, k)[0]
+        for deg, codes in blocks.items():
+            words = _code_words(codes, gens.n, k)
+            rows = [[rng.randrange(modulus) for _ in words] for _ in range(3)]
+            got = _derive(gens, spec.images, k, deg, rows, modulus)
+            target = _code_words(blocks.get(deg - 1, codes[:0]), gens.n, k)
+            for row, image in zip(rows, got.tolist()):
+                elem = TensorElement(gens, tuple(zip(words, row)))
+                ref = differentiate(elem, spec)
+                assert ref.is_zero() or ref.degree == deg - 1
+                assert image == [ref.coefficient(w) for w in target]
+
+
+# ---------------------------------------------------------------------------
+# Primes whose squares overflow int64
+
+BIG_P = 4294967311  # the least prime above 2^32
+
+
+def python_rank(rows, p):
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def reference_lie_component(gens, k, u):
+    """lie_component through embed_tensor rows and a Smith form."""
+    p = gens.ring.p
+    ring_u = RingSpec(p, u)
+    out_gens = GeneratorSet(gens.names, gens.degrees, ring_u)
+    words, rows = reference_generator_rows(gens, k)
+    comps, basis = {}, []
+    for deg in sorted(rows):
+        mat = [[x % ring_u.modulus for x in r] for r in rows[deg]]
+        _, _, _, vinv, vals = smith_normal_form_matrix(mat, ring_u)
+        exps = []
+        for pos, v in enumerate(vals):
+            if v >= u:
+                break
+            exps.append(u - v)
+            basis.append(TensorElement(out_gens, tuple(
+                (w, p ** v * x) for w, x in zip(words[deg], vinv[pos])
+            )))
+        if exps:
+            comps[deg] = tuple(exps)
+    return GradedModule.from_dict(ring_u, comps), basis
+
+
+class TestLargePrimes:
+    def test_dtype_rule_boundary(self):
+        assert _fp.int_dtype(3037000499) is np.int64
+        assert _fp.int_dtype(3037000500) is object
+        assert _fp.int_dtype(3, 2 ** 60) is object  # 9 * 2^60 > 2^63
+
+    def test_rank_matches_python_rref(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            mat = [[rng.randrange(BIG_P) for _ in range(4)] for _ in range(4)]
+            mat[3] = [(a + 7 * b) % BIG_P for a, b in zip(mat[0], mat[1])]
+            assert _fp.rank(mat, BIG_P) == python_rank(mat, BIG_P) == 3
+        for _ in range(50):
+            mat = [[rng.randrange(BIG_P) for _ in range(4)] for _ in range(4)]
+            assert _fp.rank(mat, BIG_P) == python_rank(mat, BIG_P)
+
+    def test_lie_component_u2_matches_reference(self):
+        gens = GeneratorSet.build([("x", 2), ("y", 1)], RingSpec(BIG_P, 2))
+        for k in range(1, 6):
+            dims, basis = lie_component(gens, k, 2)
+            ref_dims, ref_basis = reference_lie_component(gens, k, 2)
+            assert dims == ref_dims
+            assert [b.terms for b in basis] == [b.terms for b in ref_basis]
+
+    def test_homology_at_large_prime(self):
+        # above the weight, the answer no longer depends on p; 1000003 runs
+        # through int64 and BIG_P through Python ints
+        gens, spec = differential_pair(BIG_P, 2)
+        small_gens, small_spec = differential_pair(1000003, 2)
+        for k in range(1, 7):
+            assert (homology(gens, spec, k).rows
+                    == homology(small_gens, small_spec, k).rows)
+
+    def test_complex_reduces_entries_before_dd(self):
+        # 3 * 2^62 wraps in int64 to -2^62, which is nonzero mod 3
+        ranks = (((0, 1), 1), ((1, 1), 1), ((2, 1), 1))
+        diffs = (((1, 1), ((3,),)), ((2, 1), ((2 ** 62,),)))
+        cx = BigradedComplex(3, ranks, diffs)
+        assert cx.diff_at(2, 1) == ((2 ** 62,),)
+
+
+class TestReadOnlyCaches:
+    def test_cached_arrays_refuse_writes(self):
+        gens = GeneratorSet.build([("x", 2), ("y", 1)], RingSpec(3, 1))
+        blocks, index = _word_codes(gens.degrees, 3)
+        codes, rows, _ = _span_blocks(gens, 3, 3)[5]
+        for array in (index, blocks[5], codes, rows):
+            assert len(array)
+            with pytest.raises(ValueError):
+                array[0] = 1
