@@ -42,10 +42,6 @@ def _parse_gens(text: str):
     return out
 
 
-def _tree_json(tree, gens):
-    return freelie.tree_to_names(tree, gens)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers; each returns (payload, csv_rows)
 
@@ -71,7 +67,7 @@ def cmd_hall(args):
                 "k": k,
                 "count": len(trees),
                 "witt": freelie.witt(args.n, k),
-                "products": [_tree_json(t, gens) for t in trees],
+                "products": [freelie.tree_to_names(t, gens) for t in trees],
             }
         )
         csv.append((k, len(trees), freelie.witt(args.n, k)))
@@ -212,10 +208,7 @@ def cmd_moore_smash(args):
 
 
 def cmd_moore_hm(args):
-    guard = None if args.unsafe_limits else moore.HM_WEIGHT_GUARD
-    factors = moore.hilton_milnor_expansion(
-        args.n, args.m, args.p, args.r, args.max_k, guard=guard
-    )
+    factors = moore.hilton_milnor_expansion(args.n, args.m, args.p, args.r, args.max_k)
     payload = {
         "n": args.n,
         "m": args.m,
@@ -364,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--max-k", dest="max_k", type=int, required=True)
-    sp.add_argument("--unsafe-limits", action="store_true")
 
     sp = add("moore-growth", cmd_moore_growth, help="growth certificate")
     sp.add_argument("--n", type=int, required=True)

@@ -274,12 +274,8 @@ def _homology_decompositions(gens, spec, k, u):
 # The explicit cycles
 
 
-def _cycle_weight_limit(p: int) -> int:
-    return 12 if p == 3 else 5
-
-
 def _check_cycle_guard(p: int, target_weight: int, max_weight):
-    limit = _cycle_weight_limit(p) if max_weight is None else max_weight
+    limit = (12 if p == 3 else 5) if max_weight is None else max_weight
     if target_weight > limit:
         raise ResourceGuardError(
             f"cycle of weight {target_weight} exceeds the guard of {limit}"

@@ -31,6 +31,7 @@ from .errors import (
 from .zpmod import GradedModule, RingSpec, smith_normal_form_matrix
 
 WORD_GUARD = 2 ** 20  # n^k above this is refused
+BLOCK_GUARD = 2 ** 14  # a (weight, degree) block wider than this is refused
 
 
 @dataclass(frozen=True)
@@ -352,21 +353,19 @@ def basic_products(n_gens: int, k: int):
 
 
 def hall_basis(n_gens: int, max_weight: int) -> HallBasis:
-    per_weight = [tuple(range(n_gens))]
+    # (tree_sort_key, tree) pairs per weight; kv[2] is the key of v[0].
+    per_weight = [[(tree_sort_key(a), a) for a in range(n_gens)]]
     for k in range(2, max_weight + 1):
         found = []
         for i in range(1, k):
-            for u in per_weight[i - 1]:
-                ku = tree_sort_key(u)
-                for v in per_weight[k - i - 1]:
-                    if ku >= tree_sort_key(v):
-                        continue
-                    if not isinstance(v, int) and tree_sort_key(v[0]) > ku:
-                        continue
-                    found.append((u, v))
-        found.sort(key=tree_sort_key)
-        per_weight.append(tuple(found))
-    return HallBasis(n_gens, tuple(per_weight[:max_weight]))
+            for ku, u in per_weight[i - 1]:
+                for kv, v in per_weight[k - i - 1]:
+                    if ku < kv and (isinstance(v, int) or kv[2] <= ku):
+                        found.append(((k, 1, ku, kv), (u, v)))
+        found.sort()
+        per_weight.append(found)
+    trees = tuple(tuple(t for _, t in found) for found in per_weight)
+    return HallBasis(n_gens, trees[:max_weight])
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +380,23 @@ def hall_basis(n_gens: int, max_weight: int) -> HallBasis:
 
 
 def _check_word_guard(gens: GeneratorSet, k: int):
+    """Refuse weight k beyond WORD_GUARD words or with a degree block wider
+    than BLOCK_GUARD; the widths are the coefficients of (sum_a t^{|a|})^k."""
     if gens.n ** k > WORD_GUARD:
         raise ResourceGuardError(
             f"{gens.n}^{k} words exceed the guard of {WORD_GUARD}"
+        )
+    widths = {0: 1}
+    for _ in range(k):
+        step: dict[int, int] = {}
+        for deg, count in widths.items():
+            for d in gens.degrees:
+                step[deg + d] = step.get(deg + d, 0) + count
+        widths = step
+    if max(widths.values()) > BLOCK_GUARD:
+        raise ResourceGuardError(
+            f"the widest degree block of weight {k} has {max(widths.values())} "
+            f"words, above the guard of {BLOCK_GUARD}"
         )
 
 
@@ -652,10 +665,7 @@ def pbw_series_diagnostic(gens: GeneratorSet, max_weight: int) -> PBWDiagnostic:
         total = even + odd
         w = witt(gens.n, k)
         rows.append(PBWRow(k, total, even, odd, w, total == w))
-        one_plus = [0] * (K + 1)
-        one_plus[0] = 1
-        if k <= K:
-            one_plus[k] = 1
+        one_plus = [1 if i in (0, k) else 0 for i in range(K + 1)]
         for _ in range(odd):
             series = _series_mul(series, one_plus, K)
         geom = [1 if i % k == 0 else 0 for i in range(K + 1)]

@@ -69,7 +69,8 @@ def analyze(seq: GrowthSequence, epsilon: float = DEFAULT_EPSILON,
             window: float = DEFAULT_WINDOW) -> GrowthReport:
     """Tail-window growth verdict for a sequence.
 
-    The window is the last ceil(window * len) points.  A zero inside the
+    The window is the last ceil(window * len) points, for 0 < window <= 1;
+    epsilon must be finite and positive.  A zero inside the
     window forces the verdict "subexponential" (ln is undefined there and
     no exponential lower bound can hold).  Otherwise the tail infimum of
     ln(a_m)/m decides: above epsilon it is "exponential", at or below
@@ -77,6 +78,10 @@ def analyze(seq: GrowthSequence, epsilon: float = DEFAULT_EPSILON,
     arithmetic is binary64 with ratios computed as math.log(a)/m; the
     report is a deterministic function of the input.
     """
+    if not (0 < window <= 1 and 0 < epsilon < math.inf):
+        raise InputError(
+            f"need 0 < window <= 1 and a finite epsilon > 0, got {window}, {epsilon}"
+        )
     if len(seq) < 2:
         raise InputError("need at least two points to analyze")
     pts = seq.points

@@ -12,19 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import (
     DegenerateInputError,
     InputError,
     InvalidCoefficientError,
-    ResourceGuardError,
     UnsupportedInputError,
 )
-from .freelie import basic_products, witt
+from .freelie import mobius, witt
 from .zpmod import is_prime
-
-HM_WEIGHT_GUARD = 16  # basic-product enumeration cap; override explicitly
 
 
 @dataclass(frozen=True, order=True)
@@ -205,12 +202,14 @@ def smash_power_binomial(n: int, m: int, k1: int, k2: int,
         raise InputError("need k1, k2 >= 0 with k1 + k2 >= 1")
     if p ** r == 2:
         raise UnsupportedInputError("the smash rule excludes p^r = 2")
-    k = k1 + k2
-    top = k1 * n + k2 * m
-    pairs = [
+    return _binomial_wedge(k1 * n + k2 * m, k1 + k2, p, r)
+
+
+def _binomial_wedge(top: int, k: int, p: int, r: int) -> MooreWedge:
+    """P^{top - i}(p^r) with multiplicity C(k-1, i) for i = 0..k-1."""
+    return MooreWedge.from_pairs(
         (MooreSummand(top - i, p, r), comb(k - 1, i)) for i in range(k)
-    ]
-    return MooreWedge.from_pairs(pairs)
+    )
 
 
 @dataclass(frozen=True)
@@ -231,44 +230,38 @@ class HMFactor:
         return self.k1 + self.k2
 
 
-def _letter_counts(tree):
-    if isinstance(tree, int):
-        counts = [0, 0]
-        counts[tree] = 1
-        return tuple(counts)
-    a = _letter_counts(tree[0])
-    b = _letter_counts(tree[1])
-    return (a[0] + b[0], a[1] + b[1])
+def _necklaces(k1: int, k2: int) -> int:
+    """Basic products with k1 letters of one kind and k2 of the other.
+
+    The multigraded Witt (necklace) number
+    (1/k) sum over d | gcd(k1, k2) of mu(d) C(k/d, k1/d), k = k1 + k2
+    (M. Hall 1950; Reutenauer, Free Lie Algebras, 1993).
+    """
+    k, g = k1 + k2, gcd(k1, k2)
+    divisors = [d for d in range(1, g + 1) if g % d == 0]
+    return sum(mobius(d) * comb(k // d, k1 // d) for d in divisors) // k
 
 
-def hilton_milnor_expansion(n: int, m: int, p: int, r: int, max_weight: int,
-                            guard: int | None = HM_WEIGHT_GUARD):
+def hilton_milnor_expansion(n: int, m: int, p: int, r: int, max_weight: int):
     """Weight-indexed loop factors of the wedge P^{n+1}(p^r) v P^{m+1}(p^r).
 
     For every basic product of weight k <= max_weight on two letters, the
     corresponding factor is the loops on a suspension, so its wedge gains
     one dimension over the raw smash power: summands
     P^{k1 n + k2 m + 1 - i}(p^r) with multiplicity C(k-1, i).  Factors are
-    grouped by letter counts; counts over a fixed weight k sum to W_2(k).
+    grouped by letter counts, counted by the necklace formula; counts over
+    a fixed weight k sum to W_2(k).
     """
-    if guard is not None and max_weight > guard:
-        raise ResourceGuardError(
-            f"weight {max_weight} exceeds the enumeration guard of {guard}"
-        )
     if p ** r == 2:
         raise UnsupportedInputError("the smash rule excludes p^r = 2")
     out = []
     for k in range(1, max_weight + 1):
-        groups: dict[tuple[int, int], int] = {}
-        for tree in basic_products(2, k):
-            key = _letter_counts(tree)
-            groups[key] = groups.get(key, 0) + 1
-        for (k1, k2), count in sorted(groups.items()):
-            top = k1 * n + k2 * m + 1
-            wedge = MooreWedge.from_pairs(
-                (MooreSummand(top - i, p, r), comb(k - 1, i)) for i in range(k)
-            )
-            out.append(HMFactor(k1, k2, wedge, count))
+        for k1 in range(k + 1):
+            count = _necklaces(k1, k - k1)
+            if not count:
+                continue
+            wedge = _binomial_wedge(k1 * n + (k - k1) * m + 1, k, p, r)
+            out.append(HMFactor(k1, k - k1, wedge, count))
     return out
 
 

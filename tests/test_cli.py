@@ -4,7 +4,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from liegrowth import cli
+from liegrowth import cli, freelie
 
 COMMANDS = {
     "witt": ["witt", "--n", "2", "--max-k", "6"],
@@ -146,12 +146,31 @@ class TestExitCodes:
         assert code == 2
 
     def test_resource_guard_is_3(self):
-        code, _, err = run_cli(
+        code, _, err = run_cli(["tau-sigma", "--p", "3", "--k", "3"])
+        assert code == 3
+        assert "resource guard" in err
+
+    def test_moore_hm_has_no_weight_guard(self):
+        code, out, _ = run_cli(
             ["moore-hm", "--n", "2", "--m", "2", "--p", "3", "--r", "1",
              "--max-k", "40"]
         )
-        assert code == 3
-        assert "resource guard" in err
+        assert code == 0
+        counts = {}
+        for f in json.loads(out)["factors"]:
+            k = f["k1"] + f["k2"]
+            counts[k] = counts.get(k, 0) + f["count"]
+        assert counts == {k: freelie.witt(2, k) for k in range(1, 41)}
+
+    def test_bad_growth_window_is_2(self):
+        for argv in (
+            ["growth-analyze", "--points", "1:2,2:4", "--window", "nan"],
+            ["growth-analyze", "--points", "1:2,2:4", "--epsilon", "nan"],
+            COMMANDS["moore-growth"] + ["--window", "2"],
+        ):
+            code, out, err = run_cli(argv)
+            assert code == 2 and not out
+            assert "invalid input" in err
 
     def test_guard_override(self):
         code, _, _ = run_cli(

@@ -1,12 +1,17 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liegrowth.errors import InputError, InvalidExponentError, ResourceGuardError
 from liegrowth.freelie import (
+    BLOCK_GUARD,
     FreeNAElement,
     GeneratorSet,
     TensorElement,
+    _check_word_guard,
     basic_products,
     bracket,
     embed_tensor,
@@ -17,6 +22,7 @@ from liegrowth.freelie import (
     tensor_dim,
     tree_degree,
     tree_from_names,
+    tree_sort_key,
     tree_to_names,
     tree_weight,
     witt,
@@ -96,6 +102,20 @@ class TestBasicProducts:
 
     def test_weight_one_is_generators(self):
         assert basic_products(3, 1) == (0, 1, 2)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 3), top=st.integers(1, 8))
+    def test_hall_conditions(self, n, top):
+        basis = hall_basis(n, top)
+        for k in range(1, top + 1):
+            keys = [tree_sort_key(t) for t in basis.at_weight(k)]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            for tree in basis.at_weight(k) if k > 1 else ():
+                u, v = tree
+                assert tree_weight(tree) == k
+                assert tree_sort_key(u) < tree_sort_key(v)
+                if not isinstance(v, int):
+                    assert tree_sort_key(v[0]) <= tree_sort_key(u)
 
 
 class TestTrees:
@@ -304,6 +324,18 @@ class TestLieComponent:
         gens = GeneratorSet.build([(f"g{i}", 1) for i in range(4)], F3)
         with pytest.raises(ResourceGuardError):
             lie_component(gens, 11, 1)  # 4^11 > 2^20
+
+    def test_widest_block_guard(self):
+        gens = GeneratorSet.build([("x", 1), ("y", 1)], F3)
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match=f"32768 words.* {BLOCK_GUARD}"):
+            lie_component(gens, 15, 1)  # a single block of 2^15 words
+        assert time.perf_counter() - start < 1
+        _check_word_guard(gens, 14)  # 2^14 words is the widest admitted
+        mixed = GeneratorSet.build([("x", 2), ("y", 1)], F3)
+        _check_word_guard(mixed, 16)  # widest block C(16, 8) = 12870
+        with pytest.raises(ResourceGuardError):
+            _check_word_guard(mixed, 17)  # C(17, 8) = 24310
 
 
 class TestPBWDiagnostic:

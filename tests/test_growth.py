@@ -46,6 +46,22 @@ class TestAnalyze:
         assert report.verdict == "exponential"
         assert report.tail_infimum >= 0.2
 
+    @pytest.mark.parametrize("window", [-0.5, 0.0, 1.5, 2.0, math.nan, math.inf])
+    def test_rejects_bad_window(self, window):
+        seq = GrowthSequence.from_values([2 ** m for m in range(1, 11)])
+        with pytest.raises(InputError):
+            analyze(seq, window=window)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_epsilon(self, epsilon):
+        seq = GrowthSequence.from_values([2 ** m for m in range(1, 11)])
+        with pytest.raises(InputError):
+            analyze(seq, epsilon=epsilon)
+
+    def test_full_window_accepted(self):
+        seq = GrowthSequence.from_values([2 ** m for m in range(1, 11)])
+        assert analyze(seq, window=1.0).verdict == "exponential"
+
     def test_needs_two_points(self):
         with pytest.raises(InputError):
             analyze(GrowthSequence(((5, 5),)))

@@ -6,13 +6,11 @@ from liegrowth.errors import (
     DegenerateInputError,
     InputError,
     InvalidCoefficientError,
-    ResourceGuardError,
     UnsupportedInputError,
 )
-from liegrowth.freelie import witt
+from liegrowth.freelie import basic_products, witt
 from liegrowth.moore import (
     GrowthParams,
-    HM_WEIGHT_GUARD,
     MooreSummand,
     MooreWedge,
     crt_split,
@@ -213,15 +211,28 @@ class TestLoopFactorExpansion:
         assert factors[0].wedge == MooreWedge.of(P(5, 3, 2), P(4, 3, 2))
 
     def test_counts_sum_to_witt(self):
-        factors = hilton_milnor_expansion(2, 3, 3, 1, 8)
-        for k in range(1, 9):
+        factors = hilton_milnor_expansion(2, 3, 3, 1, 40)
+        for k in range(1, 41):
             count = sum(f.count for f in factors if f.weight == k)
             assert count == witt(2, k)
 
-    def test_guard(self):
-        with pytest.raises(ResourceGuardError):
-            hilton_milnor_expansion(2, 2, 3, 1, HM_WEIGHT_GUARD + 1)
-        hilton_milnor_expansion(2, 2, 3, 1, HM_WEIGHT_GUARD + 1, guard=None)
+    def test_necklace_counts_match_enumerated_basic_products(self):
+        def letter_counts(tree):
+            if isinstance(tree, int):
+                return (1 - tree, tree)
+            a, b = letter_counts(tree[0]), letter_counts(tree[1])
+            return (a[0] + b[0], a[1] + b[1])
+
+        expected = {}
+        for k in range(1, 15):
+            for tree in basic_products(2, k):
+                key = letter_counts(tree)
+                expected[key] = expected.get(key, 0) + 1
+        factors = hilton_milnor_expansion(2, 3, 3, 1, 14)
+        assert {(f.k1, f.k2): f.count for f in factors} == expected
+        assert [(f.k1, f.k2) for f in factors] == sorted(
+            expected, key=lambda c: (sum(c), c)
+        )
 
 
 class TestGrowthCertificate:

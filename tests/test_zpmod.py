@@ -21,6 +21,7 @@ from liegrowth.zpmod import (
     factor_tensor_check,
     image_dims,
     is_injective,
+    is_prime,
     is_surjective,
     smith_normal_form,
     smith_normal_form_matrix,
@@ -52,6 +53,35 @@ class TestRingSpec:
         assert R27.valuation(5) == 0
         assert R27.valuation(0) == 3
         assert R27.valuation(27) == 3
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def by_division(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(-3, 5000) if is_prime(n)] == [
+            n for n in range(-3, 5000) if by_division(n)
+        ]
+
+    def test_large_primes_and_composites(self):
+        assert is_prime(2 ** 61 - 1)  # Mersenne prime
+        assert is_prime(10 ** 14 + 31)
+        assert not is_prime((2 ** 31 - 1) * (10 ** 14 + 31))
+        for carmichael in (561, 41041, 3215031751):
+            assert not is_prime(carmichael)
+        # a strong pseudoprime to every prime base up to 23
+        assert not is_prime(3825123056546413051)
+
+    def test_bound(self):
+        # the least strong pseudoprime to the first 13 prime bases
+        psi13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
+        assert not is_prime(psi13 - 2)
+        assert is_prime(3317044064679887385961813)  # the largest prime below
+        with pytest.raises(InputError):
+            is_prime(psi13)
+        with pytest.raises(InputError):
+            RingSpec(psi13 + 2, 1)
 
 
 class TestGradedModule:
