@@ -231,6 +231,7 @@ def cmd_moore_hm(args):
 
 
 def cmd_moore_growth(args):
+    growth.check_window(args.epsilon, args.window)
     params = moore.GrowthParams(
         args.n, args.m, args.p, args.r, args.s, args.j, args.max_k
     )

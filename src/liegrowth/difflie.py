@@ -29,7 +29,6 @@ from .freelie import (
     GeneratorSet,
     TensorElement,
     _derive,
-    _lie_bases,
     _span_blocks,
     bracket,
     tree_degree,
@@ -177,10 +176,10 @@ class HomologyReport:
 def _rank_data(gens: GeneratorSet, spec: DifferentialSpec, k: int):
     """Per-degree (dim, rank of d out of the degree) over F_p at weight k."""
     p = gens.ring.p
-    blocks = _span_blocks(gens, k, p)
-    dims = {deg: len(rows) for deg, (_, rows, _) in blocks.items() if len(rows)}
+    blocks = _span_blocks(gens, k, 1)
+    dims = {deg: len(rows) for deg, (_, _, rows, _) in blocks.items() if len(rows)}
     ranks = {
-        deg: _fp.rank(_derive(gens, spec.images, k, deg, blocks[deg][1], p), p)
+        deg: _fp.rank(_derive(gens, spec.images, k, deg, blocks[deg][2], p), p)
         if deg - 1 in blocks else 0
         for deg in dims
     }
@@ -210,58 +209,32 @@ def homology(gens: GeneratorSet, spec: DifferentialSpec, k: int, u: int = 1):
 
 
 def _homology_decompositions(gens, spec, k, u):
-    bases = _lie_bases(gens, k, u)
     ring_u = RingSpec(gens.ring.p, u)
     p, modulus = ring_u.p, ring_u.modulus
     cycle_comps: dict[int, tuple[int, ...]] = {}
     boundary_comps: dict[int, tuple[int, ...]] = {}
-    for deg, _, _, elems in bases:
-        if not elems:
-            continue
-        # Images are taken mod the ring modulus, as differentiate does, so
-        # the columns kept are exactly the words with a nonzero coefficient.
-        images = _derive(gens, spec.images, k, deg, elems, gens.ring.modulus)
-        img_cols = images[:, (images != 0).any(axis=0)] % modulus
-        img_rows = img_cols.tolist()
-        if img_cols.shape[1]:
-            _, _, _, _, vals = smith_normal_form_matrix(img_rows, ring_u)
-            b_exps = tuple(u - v for v in vals if v < u)
-            if b_exps:
-                boundary_comps[deg - 1] = tuple(
-                    sorted(boundary_comps.get(deg - 1, ()) + b_exps, reverse=True)
-                )
-        # Kernel of d on the span: columns of M are the images d(basis_j);
-        # solve M c = 0 over Z/p^u, then decompose the kernel submodule.
-        n_basis = len(elems)
-        if img_cols.shape[1]:
-            _, _, v, _, vals = smith_normal_form_matrix(img_cols.T.tolist(), ring_u)
-            kernel_coeffs = []
-            for pos in range(n_basis):
-                if pos < len(vals):
-                    val = vals[pos]
-                    if val == 0:
-                        continue
-                    scale = p ** (u - val) if val < u else 1
-                else:
-                    scale = 1
-                coeffs = [scale * v[j][pos] % modulus for j in range(n_basis)]
-                if any(coeffs):
-                    kernel_coeffs.append(coeffs)
-        else:
-            kernel_coeffs = [
-                [1 if i == j else 0 for j in range(n_basis)] for i in range(n_basis)
-            ]
+    for deg, (_, _, elems, _) in _span_blocks(gens, k, u).items():
+        # One Smith form U A V = D of the images A of the basis rows gives
+        # both answers: the boundaries are the diagonal of D, and the rows c
+        # with c A = 0 are generated by the rows of U scaled by p^(u - v),
+        # where rows past the diagonal count as v = u and v = 0 drops out.
+        images = _derive(gens, spec.images, k, deg, elems, modulus)
+        img_cols = images[:, (images != 0).any(axis=0)]
+        u_rows, _, _, _, vals = smith_normal_form_matrix(img_cols.tolist(), ring_u)
+        boundary_comps[deg - 1] = tuple(u - v for v in vals if v < u)
+        vals = vals + [u] * (len(elems) - len(vals))
+        kernel_coeffs = [
+            [p ** (u - v) * x for x in row] for row, v in zip(u_rows, vals) if v
+        ]
         if kernel_coeffs:
-            elem_rows = _fp.residues(elems, modulus, n_basis)
-            elem_cols = elem_rows[:, (elem_rows != 0).any(axis=0)]
+            terms = len(elems)
+            elem_cols = elems[:, (elems != 0).any(axis=0)]
             vec_rows = (
-                _fp.residues(kernel_coeffs, modulus, n_basis) @ elem_cols % modulus
+                _fp.residues(kernel_coeffs, modulus, terms)
+                @ _fp.residues(elem_cols, modulus, terms) % modulus
             ).tolist()
-            if any(any(r) for r in vec_rows):
-                _, _, _, _, vals = smith_normal_form_matrix(vec_rows, ring_u)
-                z_exps = tuple(u - v for v in vals if v < u)
-                if z_exps:
-                    cycle_comps[deg] = z_exps
+            _, _, _, _, z_vals = smith_normal_form_matrix(vec_rows, ring_u)
+            cycle_comps[deg] = tuple(u - v for v in z_vals if v < u)
     return HomologyReport(
         k,
         (),
@@ -381,16 +354,16 @@ def bigraded_complex(gens: GeneratorSet, spec: DifferentialSpec, weights):
     ranks = []
     diffs = []
     for w in weights:
-        blocks = _span_blocks(gens, w, p)
+        blocks = _span_blocks(gens, w, 1)
         for deg in sorted(blocks):
-            _, rows, _ = blocks[deg]
+            _, _, rows, _ = blocks[deg]
             if not len(rows):
                 continue
             ranks.append(((deg, w), len(rows)))
             target = blocks.get(deg - 1)
-            if target is None or not len(target[1]):
+            if target is None or not len(target[2]):
                 continue
-            _, t_rows, t_piv = target
+            _, _, t_rows, t_piv = target
             images = _derive(gens, spec.images, w, deg, rows, p)
             coords = images[:, list(t_piv)]
             bound = len(t_piv) + 1

@@ -32,6 +32,7 @@ from .zpmod import GradedModule, RingSpec, smith_normal_form_matrix
 
 WORD_GUARD = 2 ** 20  # n^k above this is refused
 BLOCK_GUARD = 2 ** 14  # a (weight, degree) block wider than this is refused
+SMITH_BLOCK_GUARD = 2 ** 11  # the same bound for coefficients mod p^u, u > 1
 
 
 @dataclass(frozen=True)
@@ -379,9 +380,11 @@ def hall_basis(n_gens: int, max_weight: int) -> HallBasis:
 # oracle tests pin this kernel to them.
 
 
-def _check_word_guard(gens: GeneratorSet, k: int):
+def _check_word_guard(gens: GeneratorSet, k: int, u: int):
     """Refuse weight k beyond WORD_GUARD words or with a degree block wider
-    than BLOCK_GUARD; the widths are the coefficients of (sum_a t^{|a|})^k."""
+    than BLOCK_GUARD, or SMITH_BLOCK_GUARD when u > 1 (the Smith form over
+    Z/p^u runs on Python lists); the widths are the coefficients of
+    (sum_a t^{|a|})^k."""
     if gens.n ** k > WORD_GUARD:
         raise ResourceGuardError(
             f"{gens.n}^{k} words exceed the guard of {WORD_GUARD}"
@@ -393,10 +396,11 @@ def _check_word_guard(gens: GeneratorSet, k: int):
             for d in gens.degrees:
                 step[deg + d] = step.get(deg + d, 0) + count
         widths = step
-    if max(widths.values()) > BLOCK_GUARD:
+    limit = BLOCK_GUARD if u == 1 else SMITH_BLOCK_GUARD
+    if max(widths.values()) > limit:
         raise ResourceGuardError(
             f"the widest degree block of weight {k} has {max(widths.values())} "
-            f"words, above the guard of {BLOCK_GUARD}"
+            f"words, above the guard of {limit} for coefficients mod p^{u}"
         )
 
 
@@ -482,56 +486,51 @@ def _derive(gens: GeneratorSet, images, k: int, deg: int, rows, modulus: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _span_blocks(gens: GeneratorSet, k: int, p: int):
-    """Per-degree word codes and rref span bases of the weight-k commutator span.
+def _span_blocks(gens: GeneratorSet, k: int, u: int):
+    """Per-degree word codes and bases of the weight-k commutator span over
+    Z/p^u, for 1 <= u <= the ring exponent of ``gens``.
 
-    Returns a dict degree -> (codes, rows, pivots): ``codes`` are the block's
-    sorted word codes and ``rows`` the read-only rref basis (numpy, mod p)
-    of the span in those coordinates.  Since L_k = [V, L_{k-1}], the span is
-    generated by ad_a applied to the cached weight-(k-1) basis, for every
-    generator a; rref is unique, so the blocks equal those of the n^k
-    right-normed brackets.
+    Returns a dict degree -> (codes, exponents, rows, pivots): ``codes`` are
+    the block's sorted word codes, ``rows`` a read-only basis (numpy, mod
+    p^u) of the span in those coordinates and ``exponents`` the order
+    exponent of each row.  Since L_k = [V, L_{k-1}] over any coefficient
+    ring, the span is generated by ad_a applied to the cached weight-(k-1)
+    basis, for every generator a.  Over F_p the basis is the rref, which is
+    unique, with its pivots; over Z/p^u (u > 1) it is the Smith basis
+    p^v Vinv[i] for the valuations v < u, with exponent u - v and no pivots.
     """
-    _check_word_guard(gens, k)
+    if not 1 <= u <= gens.ring.s:
+        raise InvalidExponentError(f"coefficient exponent {u} outside [1, {gens.ring.s}]")
+    _check_word_guard(gens, k, u)
+    p = gens.ring.p
+    modulus = p ** u
     blocks = _word_codes(gens.degrees, k)[0]
     if k == 1:
         spans = {deg: [np.eye(len(codes), dtype=np.int64)] for deg, codes in blocks.items()}
     else:
         spans = {deg: [] for deg in blocks}
-        for deg, (_, rows, _) in _span_blocks(gens, k - 1, p).items():
-            if len(rows):
-                for a in range(gens.n):
-                    spans[deg + gens.degrees[a]].append(_ad(gens, a, k, deg, rows, p))
+        for a in range(gens.n):  # first-letter order, as in the words
+            for deg, (_, _, rows, _) in _span_blocks(gens, k - 1, u).items():
+                if len(rows):
+                    spans[deg + gens.degrees[a]].append(_ad(gens, a, k, deg, rows, modulus))
     out = {}
     for deg, codes in blocks.items():
-        if spans[deg]:
+        if not spans[deg]:
+            basis, exps, pivots = np.zeros((0, len(codes)), dtype=_fp.int_dtype(modulus)), (), ()
+        elif u == 1:
             basis, pivots = _fp.rref(np.concatenate(spans[deg]), p)
+            exps = (1,) * len(basis)
         else:
-            basis, pivots = np.zeros((0, len(codes)), dtype=_fp.int_dtype(p)), []
-        out[deg] = (codes, _frozen(basis), tuple(pivots))
+            span = np.concatenate(spans[deg])
+            span = span[(span != 0).any(axis=1)]
+            _, _, _, vinv, vals = smith_normal_form_matrix(span.tolist(), RingSpec(p, u))
+            vals = [v for v in vals if v < u]
+            exps, pivots = tuple(u - v for v in vals), ()
+            basis = _fp.residues(
+                [[p ** v * x for x in vinv[i]] for i, v in enumerate(vals)], modulus
+            ).reshape(len(vals), len(codes))
+        out[deg] = (codes, exps, _frozen(basis), tuple(pivots))
     return out
-
-
-def _right_normed_rows(gens: GeneratorSet, k: int) -> dict:
-    """Rows of every right-normed bracket [w_0, [w_1, [... w_{k-1}]]].
-
-    Returns degree -> rows mod the ring modulus of ``gens``, one row per
-    weight-k word of that degree, in word order (zero rows included).
-    """
-    modulus = gens.ring.modulus
-    rows = {
-        deg: _fp.residues(np.eye(len(codes), dtype=np.int64), modulus)
-        for deg, codes in _word_codes(gens.degrees, 1)[0].items()
-    }
-    for j in range(2, k + 1):
-        rows = {
-            deg: np.concatenate([
-                _ad(gens, a, j, deg - gens.degrees[a], rows[deg - gens.degrees[a]], modulus)
-                for a in range(gens.n) if deg - gens.degrees[a] in rows
-            ])
-            for deg in _word_codes(gens.degrees, j)[0]
-        }
-    return rows
 
 
 def _row_to_tensor(gens, words, row) -> TensorElement:
@@ -540,58 +539,28 @@ def _row_to_tensor(gens, words, row) -> TensorElement:
     )
 
 
-def _lie_bases(gens: GeneratorSet, k: int, u: int):
-    """(degree, codes, exponents, basis rows) for each nonzero degree of the
-    weight-k span over Z/p^u, in ascending degree; see lie_component."""
-    if not 1 <= u <= gens.ring.s:
-        raise InvalidExponentError(f"coefficient exponent {u} outside [1, {gens.ring.s}]")
-    _check_word_guard(gens, k)
-    p = gens.ring.p
-    if u == 1:
-        blocks = _span_blocks(gens, k, p)
-        return [
-            (deg, codes, (1,) * len(rows), rows.tolist())
-            for deg, (codes, rows, _) in sorted(blocks.items()) if len(rows)
-        ]
-    ring_u = RingSpec(p, u)
-    codes_by_degree = _word_codes(gens.degrees, k)[0]
-    out = []
-    for deg, rows in sorted(_right_normed_rows(gens, k).items()):
-        rows = rows[(rows != 0).any(axis=1)]
-        if not len(rows):
-            continue
-        _, _, _, vinv, vals = smith_normal_form_matrix(
-            (rows % ring_u.modulus).tolist(), ring_u
-        )
-        exps, basis = [], []
-        for pos, v in enumerate(vals):
-            if v >= u:
-                break
-            exps.append(u - v)
-            basis.append([(p ** v) * x % ring_u.modulus for x in vinv[pos]])
-        out.append((deg, codes_by_degree[deg], tuple(exps), basis))
-    return out
-
-
 def lie_component(gens: GeneratorSet, k: int, u: int):
     """Summand decomposition and a basis of the weight-k commutator span.
 
     Coefficients are taken in Z/p^u for u <= the ring exponent of ``gens``.
-    Over the prime field (u = 1) ranks come from row reduction; over larger
-    u the Smith form of the generator matrix gives the decomposition, and
-    the basis elements returned are p^v times rows of the inverse column
-    transform, ordered to match the exponent lists.
+    In each degree the generator matrix stacks the rows [a, b] for every
+    generator a and every basis element b of the weight-(k-1) span over
+    Z/p^u.  Over the prime field (u = 1) ranks come from row reduction;
+    over larger u the Smith form of that matrix gives the decomposition,
+    and the basis elements returned are p^v times rows of the inverse
+    column transform, ordered to match the exponent lists.
     """
-    bases = _lie_bases(gens, k, u)
+    blocks = _span_blocks(gens, k, u)
     ring_u = RingSpec(gens.ring.p, u)
     out_gens = GeneratorSet(gens.names, gens.degrees, ring_u)
     comps: dict[int, tuple[int, ...]] = {}
     basis: list[TensorElement] = []
-    for deg, codes, exps, rows in bases:
-        if exps:
-            comps[deg] = exps
+    for deg, (codes, exps, rows, _) in sorted(blocks.items()):
+        if not exps:
+            continue
+        comps[deg] = exps
         words = _code_words(codes, gens.n, k)
-        basis.extend(_row_to_tensor(out_gens, words, row) for row in rows)
+        basis.extend(_row_to_tensor(out_gens, words, row) for row in rows.tolist())
     return GradedModule.from_dict(ring_u, comps), basis
 
 

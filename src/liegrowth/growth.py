@@ -65,6 +65,14 @@ class GrowthReport:
         }
 
 
+def check_window(epsilon: float, window: float):
+    """Require 0 < window <= 1 and a finite epsilon > 0 (NaN fails both)."""
+    if not (0 < window <= 1 and 0 < epsilon < math.inf):
+        raise InputError(
+            f"need 0 < window <= 1 and a finite epsilon > 0, got {window}, {epsilon}"
+        )
+
+
 def analyze(seq: GrowthSequence, epsilon: float = DEFAULT_EPSILON,
             window: float = DEFAULT_WINDOW) -> GrowthReport:
     """Tail-window growth verdict for a sequence.
@@ -78,10 +86,7 @@ def analyze(seq: GrowthSequence, epsilon: float = DEFAULT_EPSILON,
     arithmetic is binary64 with ratios computed as math.log(a)/m; the
     report is a deterministic function of the input.
     """
-    if not (0 < window <= 1 and 0 < epsilon < math.inf):
-        raise InputError(
-            f"need 0 < window <= 1 and a finite epsilon > 0, got {window}, {epsilon}"
-        )
+    check_window(epsilon, window)
     if len(seq) < 2:
         raise InputError("need at least two points to analyze")
     pts = seq.points

@@ -18,10 +18,13 @@ from .errors import (
     DegenerateInputError,
     InputError,
     InvalidCoefficientError,
+    ResourceGuardError,
     UnsupportedInputError,
 )
 from .freelie import mobius, witt
-from .zpmod import is_prime
+from .zpmod import MR_BOUND, is_prime
+
+TRIAL_DIVISION_BOUND = 2 ** 20  # largest trial divisor crt_split tries
 
 
 @dataclass(frozen=True, order=True)
@@ -103,11 +106,29 @@ class MooreWedge:
         return " v ".join(bits)
 
 
+def _decided_prime(q: int) -> bool:
+    """True if q is a prime that is_prime can decide; False above MR_BOUND."""
+    return q < MR_BOUND and is_prime(q)
+
+
+def _iroot(m: int, e: int) -> int:
+    """floor(m ** (1/e)) by Newton's method from above."""
+    q = 1 << -(-m.bit_length() // e)
+    while True:
+        t = ((e - 1) * q + m // q ** (e - 1)) // e
+        if t >= q:
+            return q
+        q = t
+
+
 def crt_split(n: int, ell: int) -> MooreWedge:
     """Split P^n(ell) into prime-power Moore summands, for n >= 3.
 
     The degree-1 cofibre is contractible, so ell <= 1 is reported as
-    degenerate rather than silently dropped.
+    degenerate rather than silently dropped.  Factors are found by trial
+    division up to TRIAL_DIVISION_BOUND, stopping once the cofactor left is
+    prime.  A cofactor left composite (or too large to test) is accepted only
+    as a power of one prime; otherwise it is refused.
     """
     if n < 3:
         raise InputError(f"splitting needs dim >= 3, got {n}")
@@ -117,17 +138,33 @@ def crt_split(n: int, ell: int) -> MooreWedge:
         )
     summands = []
     rest = ell
+    rest_is_prime = _decided_prime(rest)
     d = 2
-    while d * d <= rest:
+    while not rest_is_prime and d * d <= rest and d <= TRIAL_DIVISION_BOUND:
         if rest % d == 0:
             r = 0
             while rest % d == 0:
                 rest //= d
                 r += 1
             summands.append(MooreSummand(n, d, r))
+            rest_is_prime = _decided_prime(rest)
         else:
             d += 1
-    if rest > 1:
+    if not rest_is_prime and d * d <= rest:
+        # every prime up to the bound is divided out, so only roots above it
+        e = 2
+        while (q := _iroot(rest, e)) > TRIAL_DIVISION_BOUND:
+            if q ** e == rest and _decided_prime(q):
+                summands.append(MooreSummand(n, q, e))
+                break
+            e += 1
+        else:
+            raise ResourceGuardError(
+                f"the cofactor {rest} of {ell} has no prime factor up to the "
+                f"trial-division guard of {TRIAL_DIVISION_BOUND} and is not "
+                "a prime power"
+            )
+    elif rest > 1:
         summands.append(MooreSummand(n, rest, 1))
     return MooreWedge.of(*summands)
 

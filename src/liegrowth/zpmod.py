@@ -32,14 +32,14 @@ from .errors import (
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981  # least strong pseudoprime to all of them
+MR_BOUND = 3317044064679887385961981  # least strong pseudoprime to all of them
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the first 13 prime bases, exact below
-    _MR_BOUND (Sorenson and Webster 2015); larger n are rejected."""
-    if n >= _MR_BOUND:
-        raise InputError(f"primality is only decided below {_MR_BOUND}, got {n}")
+    MR_BOUND (Sorenson and Webster 2015); larger n are rejected."""
+    if n >= MR_BOUND:
+        raise InputError(f"primality is only decided below {MR_BOUND}, got {n}")
     if n < 2 or any(n % a == 0 for a in _MR_BASES):
         return n in _MR_BASES
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd

@@ -85,6 +85,17 @@ class TestSubcommands:
             {"dim": 4, "p": 3, "r": 1, "mult": 1},
         ]
 
+    def test_moore_split_beyond_trial_bound(self):
+        for ell, wedge in (
+            (10 ** 25, [(2, 25), (5, 25)]),  # smooth, above the primality bound
+            (1048583 ** 2, [(1048583, 2)]),  # a prime power above 2^20
+        ):
+            code, out, _ = run_cli(["moore-split", "--n", "5", "--ell", str(ell)])
+            assert code == 0
+            assert json.loads(out)["wedge"] == [
+                {"dim": 5, "p": p, "r": r, "mult": 1} for p, r in wedge
+            ]
+
     def test_moore_smash_with_json_wedges(self):
         a = json.dumps([{"dim": 2, "p": 3, "r": 1, "mult": 1}])
         b = json.dumps([{"dim": 3, "p": 3, "r": 1, "mult": 2}])
@@ -167,10 +178,19 @@ class TestExitCodes:
             ["growth-analyze", "--points", "1:2,2:4", "--window", "nan"],
             ["growth-analyze", "--points", "1:2,2:4", "--epsilon", "nan"],
             COMMANDS["moore-growth"] + ["--window", "2"],
+            # --K 4 leaves fewer than two points to analyze
+            COMMANDS["moore-growth"] + ["--K", "4", "--window", "2"],
         ):
             code, out, err = run_cli(argv)
             assert code == 2 and not out
             assert "invalid input" in err
+
+    def test_moore_split_guard_is_3(self):
+        code, out, err = run_cli(
+            ["moore-split", "--n", "5", "--ell", str(1821275394067 * 1821275393963)]
+        )
+        assert code == 3 and not out
+        assert "resource guard" in err and "1048576" in err
 
     def test_guard_override(self):
         code, _, _ = run_cli(

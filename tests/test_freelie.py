@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from liegrowth.errors import InputError, InvalidExponentError, ResourceGuardError
 from liegrowth.freelie import (
     BLOCK_GUARD,
+    SMITH_BLOCK_GUARD,
     FreeNAElement,
     GeneratorSet,
     TensorElement,
@@ -331,11 +332,25 @@ class TestLieComponent:
         with pytest.raises(ResourceGuardError, match=f"32768 words.* {BLOCK_GUARD}"):
             lie_component(gens, 15, 1)  # a single block of 2^15 words
         assert time.perf_counter() - start < 1
-        _check_word_guard(gens, 14)  # 2^14 words is the widest admitted
+        _check_word_guard(gens, 14, 1)  # 2^14 words is the widest admitted
         mixed = GeneratorSet.build([("x", 2), ("y", 1)], F3)
-        _check_word_guard(mixed, 16)  # widest block C(16, 8) = 12870
+        _check_word_guard(mixed, 16, 1)  # widest block C(16, 8) = 12870
         with pytest.raises(ResourceGuardError):
-            _check_word_guard(mixed, 17)  # C(17, 8) = 24310
+            _check_word_guard(mixed, 17, 1)  # C(17, 8) = 24310
+
+    def test_smith_block_guard(self):
+        # over Z/p^u, u > 1, the Smith form bounds blocks at 2^11 words
+        gens = GeneratorSet.build([("x", 1), ("y", 1)], RingSpec(3, 2))
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match=f"4096 words.* {SMITH_BLOCK_GUARD}"):
+            lie_component(gens, 12, 2)  # a single block of 2^12 words
+        assert time.perf_counter() - start < 1
+        _check_word_guard(gens, 11, 2)  # 2^11 words is the widest admitted
+        _check_word_guard(gens, 14, 1)  # the u = 1 limit is unchanged
+        mixed = GeneratorSet.build([("x", 2), ("y", 1)], RingSpec(3, 2))
+        _check_word_guard(mixed, 13, 2)  # widest block C(13, 6) = 1716
+        with pytest.raises(ResourceGuardError):
+            _check_word_guard(mixed, 14, 2)  # C(14, 7) = 3432
 
 
 class TestPBWDiagnostic:

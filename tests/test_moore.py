@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from liegrowth.errors import (
     DegenerateInputError,
     InputError,
     InvalidCoefficientError,
+    ResourceGuardError,
     UnsupportedInputError,
 )
 from liegrowth.freelie import basic_products, witt
@@ -101,6 +103,50 @@ class TestCrtSplit:
                 assert m == 1
                 product *= s.order
             assert product == ell
+
+    def test_large_prime_factors_split_at_once(self):
+        start = time.perf_counter()
+        assert crt_split(5, 10 ** 14 + 31) == MooreWedge.of(MooreSummand(5, 10 ** 14 + 31, 1))
+        assert crt_split(5, 72 * (10 ** 16 + 61)) == MooreWedge.of(
+            MooreSummand(5, 2, 3), MooreSummand(5, 3, 2), MooreSummand(5, 10 ** 16 + 61, 1)
+        )
+        assert crt_split(5, 1000003 * 1000033) == MooreWedge.of(
+            MooreSummand(5, 1000003, 1), MooreSummand(5, 1000033, 1)
+        )
+        assert time.perf_counter() - start < 1
+
+    def test_smooth_ell_beyond_primality_bound_splits(self):
+        assert crt_split(5, 10 ** 25) == MooreWedge.of(
+            MooreSummand(5, 2, 25), MooreSummand(5, 5, 25)
+        )
+        assert crt_split(5, 2 ** 100) == MooreWedge.of(MooreSummand(5, 2, 100))
+        assert crt_split(5, 360 ** 10) == MooreWedge.of(
+            MooreSummand(5, 2, 30), MooreSummand(5, 3, 20), MooreSummand(5, 5, 10)
+        )
+
+    def test_prime_power_above_trial_bound_splits(self):
+        q = 1048583  # the least prime above 2^20
+        start = time.perf_counter()
+        assert crt_split(5, q ** 2) == MooreWedge.of(MooreSummand(5, q, 2))
+        assert crt_split(5, q ** 3) == MooreWedge.of(MooreSummand(5, q, 3))
+        assert crt_split(5, 12 * q ** 6) == MooreWedge.of(
+            MooreSummand(5, 2, 2), MooreSummand(5, 3, 1), MooreSummand(5, q, 6)
+        )
+        assert time.perf_counter() - start < 1
+
+    def test_cofactor_without_small_factor_is_refused(self):
+        # two primes near sqrt(3.3e24), psi13 (at the primality bound),
+        # 6 times two primes above 2^20, and the square of such a product
+        for ell, cofactor in (
+            (1821275394067 * 1821275393963, 1821275394067 * 1821275393963),
+            (1287836182261 * 2575672364521, 1287836182261 * 2575672364521),
+            (6 * 1048583 * 1048601, 1048583 * 1048601),
+            ((1048583 * 1048601) ** 2, (1048583 * 1048601) ** 2),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ResourceGuardError, match=f"{cofactor} of {ell}.* 1048576"):
+                crt_split(5, ell)
+            assert time.perf_counter() - start < 1
 
 
 class TestPoincare:

@@ -27,7 +27,6 @@ from liegrowth.freelie import (
     TensorElement,
     _code_words,
     _derive,
-    _right_normed_rows,
     _span_blocks,
     _word_codes,
     basic_products,
@@ -225,18 +224,18 @@ def reference_generator_rows(gens, k):
 
 
 @st.composite
-def generator_sets(draw, max_s=1):
+def generator_sets(draw, max_s=1, min_s=1):
     degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
     p = draw(st.sampled_from((2, 3, 5, 7)))
-    s = draw(st.integers(1, max_s))
+    s = draw(st.integers(min_s, max_s))
     k = draw(st.integers(1, 6))
     names = [f"g{i}" for i in range(len(degrees))]
     return GeneratorSet.build(list(zip(names, degrees)), RingSpec(p, s)), k
 
 
 @st.composite
-def differentials(draw):
-    gens, k = draw(generator_sets(max_s=2))
+def differentials(draw, min_s=1):
+    gens, k = draw(generator_sets(max_s=2, min_s=min_s))
     images = []
     for i, deg in enumerate(gens.degrees):
         below = [j for j in range(gens.n) if gens.degrees[j] == deg - 1]
@@ -249,6 +248,23 @@ def differentials(draw):
         FreeNAElement(gens, tuple(img.items())) for img in images
     ))
     return gens, spec, k
+
+
+def rows_by_degree(basis, words):
+    """Coordinate rows of TensorElements over the per-degree word lists."""
+    out = {}
+    for elem in basis:
+        coeffs = dict(elem.terms)
+        out.setdefault(elem.degree, []).append(
+            [coeffs.get(w, 0) for w in words[elem.degree]]
+        )
+    return out
+
+
+def smith_exponents(rows, ring):
+    """Exponents of the submodule of (Z/p^s)^n spanned by ``rows``, descending."""
+    vals = smith_normal_form_matrix(rows, ring)[4]
+    return [ring.s - v for v in vals if v < ring.s]
 
 
 def largest_case(p, s):
@@ -264,9 +280,9 @@ class TestWordCodeKernel:
         gens, k = case
         p = gens.ring.p
         words, rows = reference_generator_rows(gens, k)
-        blocks = _span_blocks(gens, k, p)
+        blocks = _span_blocks(gens, k, 1)
         assert sorted(blocks) == sorted(words)
-        for deg, (codes, basis, pivots) in blocks.items():
+        for deg, (codes, _, basis, pivots) in blocks.items():
             assert _code_words(codes, gens.n, k) == words[deg]
             if deg in rows:
                 ref, ref_pivots = _fp.rref(np.array(rows[deg]), p)
@@ -275,18 +291,26 @@ class TestWordCodeKernel:
             assert basis.tolist() == ref.tolist()
             assert pivots == tuple(ref_pivots)
 
-    @settings(max_examples=60, deadline=None)
-    @given(generator_sets(max_s=3))
+    @settings(max_examples=40, deadline=None)
+    @given(generator_sets(max_s=3, min_s=2))
     @example(largest_case(3, 2))
-    def test_generator_matrices_match_row_for_row(self, case):
+    def test_lie_component_spans_reference_submodule(self, case):
+        # over Z/p^u the ad-recursion and the n^k right-normed brackets
+        # generate the same submodule: equal exponents, and stacking both
+        # bases changes none of them
         gens, k = case
-        _, rows = reference_generator_rows(gens, k)
-        kernel = {}
-        for deg, mat in _right_normed_rows(gens, k).items():
-            live = mat[(mat != 0).any(axis=1)]
-            if len(live):
-                kernel[deg] = live.tolist()
-        assert kernel == rows
+        words, _ = reference_generator_rows(gens, k)
+        for u in range(2, gens.ring.s + 1):
+            ring_u = RingSpec(gens.ring.p, u)
+            dims, basis = lie_component(gens, k, u)
+            ref_dims, ref_basis = reference_lie_component(gens, k, u)
+            assert dims == ref_dims
+            got, ref = rows_by_degree(basis, words), rows_by_degree(ref_basis, words)
+            assert sorted(got) == sorted(ref)
+            for deg, rows in got.items():
+                exps = smith_exponents(rows, ring_u)
+                assert exps == list(dims.exponents_at(deg))
+                assert smith_exponents(rows + ref[deg], ring_u) == exps
 
     @settings(max_examples=60, deadline=None)
     @given(differentials(), st.randoms(use_true_random=False))
@@ -304,6 +328,15 @@ class TestWordCodeKernel:
                 ref = differentiate(elem, spec)
                 assert ref.is_zero() or ref.degree == deg - 1
                 assert image == [ref.coefficient(w) for w in target]
+
+    @settings(max_examples=40, deadline=None)
+    @given(differentials(min_s=2))
+    def test_homology_u2_matches_transpose_kernel(self, case):
+        gens, spec, k = case
+        report = homology(gens, spec, k, 2)
+        cycles, boundaries = reference_homology_decompositions(gens, spec, k, 2)
+        assert report.cycle_decomposition == cycles
+        assert report.boundary_decomposition == boundaries
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +386,62 @@ def reference_lie_component(gens, k, u):
     return GradedModule.from_dict(ring_u, comps), basis
 
 
+def reference_homology_decompositions(gens, spec, k, u):
+    """Cycles and boundaries over Z/p^u from the reference basis and
+    differentiate, with the kernel read off a second Smith form of the
+    transposed image matrix."""
+    ring_u = RingSpec(gens.ring.p, u)
+    p, modulus = ring_u.p, ring_u.modulus
+    words, _ = reference_generator_rows(gens, k)
+    _, basis = reference_lie_component(gens, k, u)
+    cycle_comps, boundary_comps = {}, {}
+    for deg, elems in sorted(rows_by_degree(basis, words).items()):
+        images = []
+        for row in elems:
+            elem = TensorElement(gens, tuple(zip(words[deg], row)))
+            ref = differentiate(elem, spec)
+            images.append([ref.coefficient(w) % modulus for w in words.get(deg - 1, [])])
+        img_cols = np.array(images, dtype=np.int64).reshape(len(elems), -1)
+        img_cols = img_cols[:, (img_cols != 0).any(axis=0)]
+        n_basis = len(elems)
+        if img_cols.shape[1]:
+            _, _, _, _, vals = smith_normal_form_matrix(img_cols.tolist(), ring_u)
+            b_exps = tuple(u - v for v in vals if v < u)
+            if b_exps:
+                boundary_comps[deg - 1] = tuple(
+                    sorted(boundary_comps.get(deg - 1, ()) + b_exps, reverse=True)
+                )
+            # columns of M are the images d(basis_j): solve M c = 0
+            _, _, v, _, vals = smith_normal_form_matrix(img_cols.T.tolist(), ring_u)
+            kernel_coeffs = []
+            for pos in range(n_basis):
+                if pos < len(vals):
+                    if vals[pos] == 0:
+                        continue
+                    scale = p ** (u - vals[pos]) if vals[pos] < u else 1
+                else:
+                    scale = 1
+                coeffs = [scale * v[j][pos] % modulus for j in range(n_basis)]
+                if any(coeffs):
+                    kernel_coeffs.append(coeffs)
+        else:
+            kernel_coeffs = [
+                [1 if i == j else 0 for j in range(n_basis)] for i in range(n_basis)
+            ]
+        vec_rows = [
+            [sum(c * e[w] for c, e in zip(coeffs, elems)) % modulus
+             for w in range(len(words[deg]))]
+            for coeffs in kernel_coeffs
+        ]
+        if any(any(r) for r in vec_rows):
+            _, _, _, _, vals = smith_normal_form_matrix(vec_rows, ring_u)
+            z_exps = tuple(u - v for v in vals if v < u)
+            if z_exps:
+                cycle_comps[deg] = z_exps
+    return (GradedModule.from_dict(ring_u, cycle_comps),
+            GradedModule.from_dict(ring_u, boundary_comps))
+
+
 class TestLargePrimes:
     def test_dtype_rule_boundary(self):
         assert _fp.int_dtype(3037000499) is np.int64
@@ -398,7 +487,7 @@ class TestReadOnlyCaches:
     def test_cached_arrays_refuse_writes(self):
         gens = GeneratorSet.build([("x", 2), ("y", 1)], RingSpec(3, 1))
         blocks, index = _word_codes(gens.degrees, 3)
-        codes, rows, _ = _span_blocks(gens, 3, 3)[5]
+        codes, _, rows, _ = _span_blocks(gens, 3, 1)[5]
         for array in (index, blocks[5], codes, rows):
             assert len(array)
             with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liegrowth.errors import (
     InputError,
@@ -255,6 +257,22 @@ class TestMorphism:
         assert ModuleMorphism.from_json_dict(phi.to_json_dict()) == phi
 
 
+@st.composite
+def snf_cases(draw):
+    """A matrix over Z/p^s with m, n <= 6, biased to non-units and zero rows."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    ring = RingSpec(p, draw(st.integers(1, 3)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(
+        st.integers(0, ring.modulus - 1),
+        st.sampled_from([0, p, p ** (ring.s - 1)]),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    zero = draw(st.sets(st.integers(0, m - 1)))
+    return ring, [[0] * n if i in zero else row for i, row in enumerate(rows)]
+
+
 class TestSmithNormalForm:
     def test_permutation_pivots(self):
         u, uinv, v, vinv, vals = smith_normal_form_matrix([[0, 3], [3, 0]], R9)
@@ -347,6 +365,33 @@ class TestSmithNormalForm:
                     for i in range(size)
                     for j in range(size)
                 )
+
+    @settings(max_examples=200, deadline=None)
+    @given(snf_cases())
+    def test_transform_properties(self, case):
+        # U A V = D with sorted valuations, U and V invertible, and the rows
+        # of U scaled by p^(s - v) (v = s past the diagonal) are killed by A
+        ring, a = case
+        p, s, modulus = ring.p, ring.s, ring.modulus
+        m, n = len(a), len(a[0])
+        u, uinv, v, vinv, vals = smith_normal_form_matrix(a, ring)
+        assert len(vals) == min(m, n)
+        assert vals == sorted(vals) and all(0 <= x <= s for x in vals)
+
+        def mul(x, y):
+            return [[sum(x[i][t] * y[t][j] for t in range(len(y))) % modulus
+                     for j in range(len(y[0]) if y else 0)] for i in range(len(x))]
+
+        assert mul(mul(u, a), v) == [
+            [p ** vals[i] % modulus if i == j else 0 for j in range(n)]
+            for i in range(m)
+        ]
+        for mat, inv, size in ((u, uinv, m), (v, vinv, n)):
+            assert mul(mat, inv) == [[int(i == j) for j in range(size)]
+                                     for i in range(size)]
+        full = vals + [s] * (m - len(vals))
+        scaled = [[p ** (s - x) * y for y in row] for row, x in zip(u, full)]
+        assert all(not any(row) for row in mul(scaled, a))
 
     def test_morphism_with_shift_multi_degree(self):
         dom = GradedModule.from_dict(R9, {2: (2, 2), 5: (2,)})
