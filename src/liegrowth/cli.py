@@ -81,6 +81,7 @@ def _gens_from_args(args):
 
 def cmd_lie_dims(args):
     gens = _gens_from_args(args)
+    freelie._check_word_guard(gens, args.max_k, args.u)  # refuse before any work
     payload = {"p": args.p, "u": args.u, "gens": args.gens, "weights": []}
     csv = [("k", "degree", "exponents")]
     for k in range(1, args.max_k + 1):
@@ -95,6 +96,7 @@ def cmd_lie_dims(args):
 
 def cmd_homology(args):
     gens, spec = difflie.differential_pair(args.p, args.deg_x)
+    freelie._check_word_guard(gens, args.max_weight, 1)  # refuse before any work
     payload = {"p": args.p, "deg_x": args.deg_x, "weights": []}
     csv = [("weight", "degree", "dimZ", "dimB", "dimH")]
     for k in range(1, args.max_weight + 1):
@@ -134,6 +136,7 @@ def cmd_tau_sigma(args):
 
 def cmd_ineq(args):
     gens, spec = difflie.differential_pair(args.p, args.deg_x)
+    freelie._check_word_guard(gens, args.max_k, 1)  # refuse before any work
     rows = difflie.check_weight_inequalities(gens, spec, args.max_k)
     payload = {"p": args.p, "rows": []}
     csv = [("k", "dim_L", "dim_H", "dim_B", "homology_small", "boundaries_large")]

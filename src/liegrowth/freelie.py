@@ -381,10 +381,13 @@ def hall_basis(n_gens: int, max_weight: int) -> HallBasis:
 
 
 def _check_word_guard(gens: GeneratorSet, k: int, u: int):
-    """Refuse weight k beyond WORD_GUARD words or with a degree block wider
-    than BLOCK_GUARD, or SMITH_BLOCK_GUARD when u > 1 (the Smith form over
-    Z/p^u runs on Python lists); the widths are the coefficients of
-    (sum_a t^{|a|})^k."""
+    """Check 1 <= u <= the ring exponent, then refuse weight k beyond
+    WORD_GUARD words or with a degree block wider than BLOCK_GUARD, or
+    SMITH_BLOCK_GUARD when u > 1 (the Smith form's V and V^-1 are
+    width x width: 134 MB each in int64 at 4096 words); the widths are the
+    coefficients of (sum_a t^{|a|})^k."""
+    if not 1 <= u <= gens.ring.s:
+        raise InvalidExponentError(f"coefficient exponent {u} outside [1, {gens.ring.s}]")
     if gens.n ** k > WORD_GUARD:
         raise ResourceGuardError(
             f"{gens.n}^{k} words exceed the guard of {WORD_GUARD}"
@@ -499,8 +502,6 @@ def _span_blocks(gens: GeneratorSet, k: int, u: int):
     unique, with its pivots; over Z/p^u (u > 1) it is the Smith basis
     p^v Vinv[i] for the valuations v < u, with exponent u - v and no pivots.
     """
-    if not 1 <= u <= gens.ring.s:
-        raise InvalidExponentError(f"coefficient exponent {u} outside [1, {gens.ring.s}]")
     _check_word_guard(gens, k, u)
     p = gens.ring.p
     modulus = p ** u
@@ -523,7 +524,7 @@ def _span_blocks(gens: GeneratorSet, k: int, u: int):
         else:
             span = np.concatenate(spans[deg])
             span = span[(span != 0).any(axis=1)]
-            _, _, _, vinv, vals = smith_normal_form_matrix(span.tolist(), RingSpec(p, u))
+            _, _, _, vinv, vals = smith_normal_form_matrix(span, RingSpec(p, u))
             vals = [v for v in vals if v < u]
             exps, pivots = tuple(u - v for v in vals), ()
             basis = _fp.residues(

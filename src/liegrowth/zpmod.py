@@ -21,6 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import _fp
 from .errors import (
     InputError,
     InvalidExponentError,
@@ -398,19 +401,115 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+# A block with fewer entries than this runs the list kernel, which wins there
+# on numpy's per-step overhead; from here on the numpy kernel wins, most on
+# wide blocks, where the list kernel loops over every row of V.  Medians over
+# Z/27, list against numpy kernel (Intel Xeon, 2 vCPUs, Python 3.11, numpy
+# 2.4): 8 x 8 0.23 against 0.94 ms, 16 x 16 1.9 against 1.8 ms, 6 x 76 5.0
+# against 1.1 ms, 80 x 80 164 against 19 ms.
+SNF_NUMPY_ENTRIES = 256
+
+
 def smith_normal_form_matrix(rows, ring: RingSpec):
     """Diagonalize a matrix over Z/p^s.
 
-    Returns (U, Uinv, V, Vinv, vals) with U*A*V = D, where D is diagonal
-    with entries p^vals[k] (a valuation of s means the zero class) and the
-    valuations are non-decreasing.  The pivot rule is fixed: the entry of
-    minimal p-valuation wins, ties broken by smallest row then smallest
-    column, which makes the output deterministic.
+    ``rows`` is a list of rows or a 2-D numpy array; only an array can
+    express a 0 x n matrix, whose V is the n x n identity.  Returns
+    (U, Uinv, V, Vinv, vals), as lists of Python ints, with U*A*V = D,
+    where D is diagonal with entries p^vals[k] (a valuation of s means the
+    zero class) and the valuations are non-decreasing.  The pivot rule is
+    fixed: the entry of minimal p-valuation wins, ties broken by smallest
+    row then smallest column, which makes the output deterministic.  Blocks
+    of at least SNF_NUMPY_ENTRIES entries run a numpy kernel, smaller ones a
+    kernel on Python lists; both apply that rule and return the same.
     """
+    if isinstance(rows, np.ndarray):
+        m, n = rows.shape
+    else:
+        m = len(rows)
+        n = len(rows[0]) if m else 0
+    if m * n >= SNF_NUMPY_ENTRIES:
+        return _snf_numpy(rows, m, n, ring)
+    return _snf_lists(rows.tolist() if isinstance(rows, np.ndarray) else rows, m, n, ring)
+
+
+def _snf_numpy(rows, m: int, n: int, ring: RingSpec):
+    """The Smith form of smith_normal_form_matrix, one numpy update per
+    elimination.  Only the trailing block a[k:, k:] is kept up to date: rows
+    and columns before k are zero off the diagonal.  Step k changes column k
+    of U^-1 and row k of V^-1 and only swaps the later ones, so at step k
+    column i > k of U^-1 is the unit vector at row_origin[i] (the input row
+    now at i) and row j > k of V^-1 the one at col_origin[j]."""
+    mod, p, s = ring.modulus, ring.p, ring.s
+    # every update is x + c * y on residues, below 2 * mod^2
+    a = _fp.residues(rows, mod, 2).reshape(m, n)
+    u, uinv = np.eye(m, dtype=a.dtype), np.eye(m, dtype=a.dtype)
+    v, vinv = np.eye(n, dtype=a.dtype), np.eye(n, dtype=a.dtype)
+    row_origin, col_origin = np.arange(m), np.arange(n)
+    vals: list[int] = []
+    for k in range(min(m, n)):
+        # the entries of valuation <= val are those not divisible by p^(val+1)
+        for val in range(s):
+            found = a[k:, k:] % p ** (val + 1) != 0
+            if found.any():
+                break
+        else:
+            break
+        bi, bj = divmod(int(np.argmax(found)), n - k)  # first one, row-major
+        bi, bj = bi + k, bj + k
+        if bi != k:
+            a[[k, bi], k:] = a[[bi, k], k:]
+            u[[k, bi]] = u[[bi, k]]
+            uinv[:, [k, bi]] = uinv[:, [bi, k]]
+            row_origin[[k, bi]] = row_origin[[bi, k]]
+        if bj != k:
+            a[k:, [k, bj]] = a[k:, [bj, k]]
+            v[:, [k, bj]] = v[:, [bj, k]]
+            vinv[[k, bj]] = vinv[[bj, k]]
+            col_origin[[k, bj]] = col_origin[[bj, k]]
+        pivot = p ** val
+        unit = int(a[k, k]) // pivot
+        inv = ring.unit_inverse(unit)
+        a[k, k:] = a[k, k:] * inv % mod
+        u[k] = u[k] * inv % mod
+        uinv[:, k] = uinv[:, k] * unit % mod
+        # row_i += c_i row_k clears column k below the pivot, for the rows i
+        # with a nonzero entry there; U^-1 absorbs all of them in column k.
+        # Only the columns where row k of U is nonzero change in U.
+        below = k + 1 + np.flatnonzero(a[k + 1:, k])
+        if below.size:
+            c = -(a[below, k] // pivot) % mod
+            a[below, k:] = (a[below, k:] + np.outer(c, a[k, k:])) % mod
+            support = np.flatnonzero(u[k])
+            block = np.ix_(below, support)
+            u[block] = (u[block] + np.outer(c, u[k, support])) % mod
+            hit = row_origin[below]
+            uinv[hit, k] = (uinv[hit, k] - c) % mod
+        # col_j += d_j col_k clears row k right of the pivot; V^-1 absorbs
+        # all of them in its row k.  Only row k of a changes, and it is done.
+        right = k + 1 + np.flatnonzero(a[k, k + 1:])
+        if right.size:
+            d = -(a[k, right] // pivot) % mod
+            support = np.flatnonzero(v[:, k])
+            block = np.ix_(support, right)
+            v[block] = (v[block] + np.outer(v[support, k], d)) % mod
+            hit = col_origin[right]
+            vinv[k, hit] = (vinv[k, hit] - d) % mod
+        vals.append(val)
+    vals.extend([s] * (min(m, n) - len(vals)))
+    # dropping each array once its list is built keeps the peak at the lists
+    # plus one array: 136 MB against 171 MB for lie-dims x:1,y:1 to weight 11
+    mats = [u, uinv, v, vinv]
+    del a, u, uinv, v, vinv
+    for i in range(4):
+        mats[i] = mats[i].tolist()
+    return (*mats, vals)
+
+
+def _snf_lists(rows, m: int, n: int, ring: RingSpec):
+    """The Smith form of smith_normal_form_matrix on Python lists."""
     mod, p, s = ring.modulus, ring.p, ring.s
     a = [[int(x) % mod for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
     u, uinv = _identity(m), _identity(m)
     v, vinv = _identity(n), _identity(n)
     vals: list[int] = []
@@ -499,15 +598,15 @@ class BasisChange:
         mod = self.ring.modulus
         for degree, (mat, inv) in self.blocks:
             n = len(mat)
-            if len(inv) != n:
+            if len(inv) != n or any(len(row) != n for row in (*mat, *inv)):
                 raise InputError(f"inverse size mismatch at degree {degree}")
-            for i in range(n):
-                for j in range(n):
-                    acc = sum(mat[i][k] * inv[k][j] for k in range(n)) % mod
-                    if acc != (1 if i == j else 0):
-                        raise InputError(
-                            f"matrix times inverse is not the identity at degree {degree}"
-                        )
+            if n and not np.array_equal(
+                _fp.residues(mat, mod, n) @ _fp.residues(inv, mod, n) % mod,
+                np.eye(n, dtype=int),
+            ):
+                raise InputError(
+                    f"matrix times inverse is not the identity at degree {degree}"
+                )
 
     def matrix_at(self, degree: int):
         for d, (mat, _) in self.blocks:

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -191,6 +192,29 @@ class TestExitCodes:
         )
         assert code == 3 and not out
         assert "resource guard" in err and "1048576" in err
+
+    def test_word_guard_refuses_before_any_work(self):
+        # the top weight is checked before weights 1..max - 1 are computed
+        for argv, words, limit, u in (
+            (["lie-dims", "--p", "3", "--u", "2", "--gens", "x:1,y:1",
+              "--max-weight", "12"], 4096, 2048, 2),
+            (["lie-dims", "--p", "3", "--gens", "x:2,y:1", "--max-weight", "17"],
+             24310, 16384, 1),
+            (["homology", "--p", "3", "--deg-x", "2", "--max-weight", "17"], 24310, 16384, 1),
+            (["ineq", "--p", "3", "--max-k", "17"], 24310, 16384, 1),
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(argv)
+            assert time.perf_counter() - start < 1
+            assert code == 3 and not out
+            assert err == (
+                f"resource guard: the widest degree block of weight {argv[-1]} has "
+                f"{words} words, above the guard of {limit} for coefficients mod p^{u}\n"
+            )
+        # a coefficient exponent above the ring's is still invalid input first
+        code, _, err = run_cli(["lie-dims", "--p", "3", "--u", "2", "--r", "1",
+                                "--gens", "x:1,y:1", "--max-weight", "30"])
+        assert code == 2 and "coefficient exponent 2 outside [1, 1]" in err
 
     def test_guard_override(self):
         code, _, _ = run_cli(

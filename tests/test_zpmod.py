@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,10 @@ from liegrowth.errors import (
     RingMismatchError,
     UnsupportedInputError,
 )
+from liegrowth import _fp
 from liegrowth.zpmod import (
+    SNF_NUMPY_ENTRIES,
+    BasisChange,
     DirectSumSplit,
     GradedModule,
     ModuleMorphism,
@@ -31,6 +36,8 @@ from liegrowth.zpmod import (
     tensor_morphism,
     tensor_reduce,
     tor,
+    _snf_lists,
+    _snf_numpy,
 )
 
 R9 = RingSpec(3, 2)
@@ -179,6 +186,34 @@ def brute_force_tor_exponent(p, s, t, u):
     return e
 
 
+@st.composite
+def rings(draw):
+    return RingSpec(draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 4)))
+
+
+@st.composite
+def graded_modules(draw, ring, degrees=st.integers(-2, 3)):
+    comps = draw(st.dictionaries(
+        degrees, st.lists(st.integers(1, ring.s), max_size=4), max_size=3))
+    return GradedModule.from_dict(ring, comps)
+
+
+@st.composite
+def morphisms(draw, domain, codomain):
+    """A module map: entry (i, j) is a multiple of p^(t_i - t_j) when t_i > t_j."""
+    p = domain.ring.p
+    mats = {}
+    for d in domain.degrees():
+        cod_exps = codomain.exponents_at(d)
+        if cod_exps:
+            mats[d] = tuple(
+                tuple(draw(st.integers(0, p ** t_i - 1)) * p ** max(0, t_i - t_j)
+                      for t_j in domain.exponents_at(d))
+                for t_i in cod_exps
+            )
+    return ModuleMorphism.from_dict(domain, codomain, mats)
+
+
 class TestTor:
     def test_free_kills_tor(self):
         free = GradedModule.free(R27, 2)
@@ -214,6 +249,13 @@ class TestTor:
                     assert t == tor(b, a)
                     assert all(e <= s - 1 for _, ee in t.components for e in ee)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_symmetric_on_graded_modules(self, data):
+        ring = data.draw(rings())
+        m, n = data.draw(graded_modules(ring)), data.draw(graded_modules(ring))
+        assert tor(m, n) == tor(n, m)
+
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             tor(mod(R9, (1,)), mod(R27, (1,)))
@@ -231,6 +273,32 @@ class TestMorphism:
         with pytest.raises(InputError):
             ModuleMorphism.from_dict(dom, cod, {0: ((1,),)})
         ModuleMorphism.from_dict(dom, cod, {0: ((3,),)})  # fine
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_compose_of_module_maps_is_a_module_map(self, data):
+        ring = data.draw(rings())
+        a, b, c = (data.draw(graded_modules(ring, st.integers(0, 2))) for _ in range(3))
+        f = data.draw(morphisms(a, b))
+        g = data.draw(morphisms(b, c))
+        gf = compose(g, f)  # the constructor checks well-definedness
+        for d in a.degrees():
+            x = tuple(data.draw(st.integers(0, ring.p ** t - 1)) for t in a.exponents_at(d))
+            assert gf.apply_at(d, x) == g.apply_at(d, f.apply_at(d, x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_entry_breaking_divisibility_is_rejected(self, data):
+        ring = RingSpec(data.draw(st.sampled_from((2, 3, 5, 7))), data.draw(st.integers(2, 4)))
+        t_j = data.draw(st.integers(1, ring.s - 1))
+        t_i = data.draw(st.integers(t_j + 1, ring.s))
+        dom, cod = mod(ring, (t_j,)), mod(ring, (t_i,))
+        # a unit times p^e with e < t_i - t_j
+        unit = data.draw(st.integers(1, ring.p - 1))
+        entry = unit * ring.p ** data.draw(st.integers(0, t_i - t_j - 1))
+        with pytest.raises(InputError, match="well-definedness"):
+            ModuleMorphism.from_dict(dom, cod, {0: ((entry,),)})
+        ModuleMorphism.from_dict(dom, cod, {0: ((entry * ring.p ** (t_i - t_j),),)})
 
     def test_entries_reduced_mod_row_order(self):
         dom = mod(R9, (2,))
@@ -412,6 +480,77 @@ class TestSmithNormalForm:
                                      shift=-1)
         )
         assert change.matrix_at(1) is not None and change.matrix_at(4) is not None
+
+
+@st.composite
+def snf_kernel_cases(draw):
+    """A matrix over Z/p^s on either side of SNF_NUMPY_ENTRIES, possibly
+    with zero rows, zero columns or no entries at all."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    ring = RingSpec(p, draw(st.integers(1, 4)))
+    r = math.isqrt(SNF_NUMPY_ENTRIES)
+    sizes = st.sampled_from((0, 1, 2, 3, 8, r - 1, r, r + 1, 2 * r))
+    m, n = draw(sizes), draw(sizes)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    pool = [0, p, p ** (ring.s - 1)]
+    density = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+    a = np.zeros((m, n), dtype=np.int64)
+    for i in range(m):
+        for j in range(n):
+            if rng.random() < density:
+                a[i, j] = rng.choice(pool) if rng.random() < 0.3 else rng.randrange(ring.modulus)
+    if m and n:
+        a[sorted(draw(st.sets(st.integers(0, m - 1))))] = 0
+        a[:, sorted(draw(st.sets(st.integers(0, n - 1))))] = 0
+    return ring, a
+
+
+class TestSmithKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(snf_kernel_cases())
+    def test_numpy_kernel_matches_list_kernel(self, case):
+        ring, a = case
+        m, n = a.shape
+        expected = _snf_lists(a.tolist(), m, n, ring)
+        assert _snf_numpy(a, m, n, ring) == expected
+        assert smith_normal_form_matrix(a, ring) == expected
+        if m:
+            assert smith_normal_form_matrix(a.tolist(), ring) == expected
+
+    def test_object_dtype_path(self):
+        # p^2 overflows int64, so the numpy kernel runs on Python ints
+        ring = RingSpec(4294967311, 1)
+        assert _fp.int_dtype(ring.modulus) is object
+        rng = random.Random(5)
+        a = [[rng.randrange(ring.modulus) if rng.random() < 0.7 else 0 for _ in range(30)]
+             for _ in range(30)]
+        expected = _snf_lists(a, 30, 30, ring)
+        assert _snf_numpy(a, 30, 30, ring) == expected
+        assert smith_normal_form_matrix(np.array(a, dtype=object), ring) == expected
+        assert all(type(x) is int for x in expected[3][0])
+
+    def test_zero_rows_array(self):
+        for n in (0, 3, SNF_NUMPY_ENTRIES + 1):
+            u, uinv, v, vinv, vals = smith_normal_form_matrix(np.zeros((0, n)), R9)
+            assert u == uinv == [] and vals == []
+            assert v == vinv == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+class TestBasisChange:
+    def test_wrong_inverse_is_rejected(self):
+        rng = random.Random(8)
+        for size in (2, 40):
+            a = [[rng.randrange(27) for _ in range(size)] for _ in range(size)]
+            u, uinv, _, _, _ = smith_normal_form_matrix(a, R27)
+            as_mat = lambda rows: tuple(map(tuple, rows))
+            BasisChange(R27, ((0, (as_mat(u), as_mat(uinv))),))
+            uinv[size - 1][0] = (uinv[size - 1][0] + 9) % 27
+            with pytest.raises(InputError, match="not the identity"):
+                BasisChange(R27, ((0, (as_mat(u), as_mat(uinv))),))
+
+    def test_shape_mismatch_is_rejected(self):
+        with pytest.raises(InputError, match="size mismatch"):
+            BasisChange(R9, ((0, (((1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0)))),))
 
 
 class TestImageDims:
