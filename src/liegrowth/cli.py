@@ -55,9 +55,7 @@ def cmd_witt(args):
 
 def cmd_hall(args):
     basis = freelie.hall_basis(args.n, args.max_k)
-    names = [(str(i), 1) for i in range(args.n)]
-    ring = RingSpec(2, 1)  # naming only; products do not depend on the ring
-    gens = GeneratorSet.build(names, ring)
+    names = [str(i) for i in range(args.n)]
     payload = {"n": args.n, "weights": []}
     csv = [("k", "count", "witt")]
     for k in range(1, args.max_k + 1):
@@ -67,7 +65,7 @@ def cmd_hall(args):
                 "k": k,
                 "count": len(trees),
                 "witt": freelie.witt(args.n, k),
-                "products": [freelie.tree_to_names(t, gens) for t in trees],
+                "products": [freelie.tree_to_names(t, names) for t in trees],
             }
         )
         csv.append((k, len(trees), freelie.witt(args.n, k)))

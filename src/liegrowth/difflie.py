@@ -220,7 +220,7 @@ def _homology_decompositions(gens, spec, k, u):
         # where rows past the diagonal count as v = u and v = 0 drops out.
         images = _derive(gens, spec.images, k, deg, elems, modulus)
         img_cols = images[:, (images != 0).any(axis=0)]
-        u_rows, _, _, _, vals = smith_normal_form_matrix(img_cols, ring_u)
+        u_rows, _, _, _, vals = smith_normal_form_matrix(img_cols, ring_u, build=("u",))
         boundary_comps[deg - 1] = tuple(u - v for v in vals if v < u)
         vals = vals + [u] * (len(elems) - len(vals))
         kernel_coeffs = [
@@ -233,7 +233,7 @@ def _homology_decompositions(gens, spec, k, u):
                 _fp.residues(kernel_coeffs, modulus, terms)
                 @ _fp.residues(elem_cols, modulus, terms) % modulus
             )
-            _, _, _, _, z_vals = smith_normal_form_matrix(vec_rows, ring_u)
+            *_, z_vals = smith_normal_form_matrix(vec_rows, ring_u, build=())
             cycle_comps[deg] = tuple(u - v for v in z_vals if v < u)
     return HomologyReport(
         k,

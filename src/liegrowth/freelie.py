@@ -96,10 +96,16 @@ def tree_sort_key(tree):
     return (tree_weight(tree), 1, tree_sort_key(tree[0]), tree_sort_key(tree[1]))
 
 
-def tree_to_names(tree, gens: GeneratorSet):
+def tree_to_names(tree, gens):
+    """The tree with each generator index replaced by its name; ``gens`` is
+    a GeneratorSet or just the sequence of names."""
+    return _tree_names(tree, gens.names if isinstance(gens, GeneratorSet) else gens)
+
+
+def _tree_names(tree, names):
     if isinstance(tree, int):
-        return gens.names[tree]
-    return [tree_to_names(tree[0], gens), tree_to_names(tree[1], gens)]
+        return names[tree]
+    return [_tree_names(tree[0], names), _tree_names(tree[1], names)]
 
 
 def tree_from_names(data, gens: GeneratorSet):
@@ -524,7 +530,9 @@ def _span_blocks(gens: GeneratorSet, k: int, u: int):
         else:
             span = np.concatenate(spans[deg])
             span = span[(span != 0).any(axis=1)]
-            _, _, _, vinv, vals = smith_normal_form_matrix(span, RingSpec(p, u))
+            _, _, _, vinv, vals = smith_normal_form_matrix(
+                span, RingSpec(p, u), build=("vinv",)
+            )
             vals = [v for v in vals if v < u]
             exps, pivots = tuple(u - v for v in vals), ()
             basis = _fp.residues(

@@ -410,30 +410,43 @@ def _identity(n: int) -> list[list[int]]:
 SNF_NUMPY_ENTRIES = 256
 
 
-def smith_normal_form_matrix(rows, ring: RingSpec):
+SNF_TRANSFORMS = ("u", "uinv", "v", "vinv")
+
+
+def smith_normal_form_matrix(rows, ring: RingSpec, *, build=SNF_TRANSFORMS):
     """Diagonalize a matrix over Z/p^s.
 
     ``rows`` is a list of rows or a 2-D numpy array; only an array can
     express a 0 x n matrix, whose V is the n x n identity.  Returns
     (U, Uinv, V, Vinv, vals), as lists of Python ints, with U*A*V = D,
     where D is diagonal with entries p^vals[k] (a valuation of s means the
-    zero class) and the valuations are non-decreasing.  The pivot rule is
-    fixed: the entry of minimal p-valuation wins, ties broken by smallest
-    row then smallest column, which makes the output deterministic.  Blocks
-    of at least SNF_NUMPY_ENTRIES entries run a numpy kernel, smaller ones a
-    kernel on Python lists; both apply that rule and return the same.
+    zero class) and the valuations are non-decreasing.  ``build`` names the
+    transforms to compute, out of SNF_TRANSFORMS; the slot of each one left
+    out is None, and the elimination skips every update to it (Storjohann,
+    Algorithms for Matrix Canonical Forms, 2000, builds transforms only on
+    demand).  The pivot rule is fixed: the entry of minimal p-valuation
+    wins, ties broken by smallest row then smallest column, which makes the
+    output deterministic.  Blocks of at least SNF_NUMPY_ENTRIES entries run
+    a numpy kernel, smaller ones a kernel on Python lists; both apply that
+    rule and return the same for every ``build``.
     """
+    unknown = set(build) - set(SNF_TRANSFORMS)
+    if unknown:
+        raise InputError(
+            f"unknown transforms {sorted(unknown)}; choose from {SNF_TRANSFORMS}"
+        )
     if isinstance(rows, np.ndarray):
         m, n = rows.shape
     else:
         m = len(rows)
         n = len(rows[0]) if m else 0
     if m * n >= SNF_NUMPY_ENTRIES:
-        return _snf_numpy(rows, m, n, ring)
-    return _snf_lists(rows.tolist() if isinstance(rows, np.ndarray) else rows, m, n, ring)
+        return _snf_numpy(rows, m, n, ring, build)
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    return _snf_lists(rows, m, n, ring, build)
 
 
-def _snf_numpy(rows, m: int, n: int, ring: RingSpec):
+def _snf_numpy(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
     """The Smith form of smith_normal_form_matrix, one numpy update per
     elimination.  Only the trailing block a[k:, k:] is kept up to date: rows
     and columns before k are zero off the diagonal.  Step k changes column k
@@ -443,8 +456,10 @@ def _snf_numpy(rows, m: int, n: int, ring: RingSpec):
     mod, p, s = ring.modulus, ring.p, ring.s
     # every update is x + c * y on residues, below 2 * mod^2
     a = _fp.residues(rows, mod, 2).reshape(m, n)
-    u, uinv = np.eye(m, dtype=a.dtype), np.eye(m, dtype=a.dtype)
-    v, vinv = np.eye(n, dtype=a.dtype), np.eye(n, dtype=a.dtype)
+    u, uinv, v, vinv = (
+        np.eye(size, dtype=a.dtype) if name in build else None
+        for name, size in zip(SNF_TRANSFORMS, (m, m, n, n))
+    )
     row_origin, col_origin = np.arange(m), np.arange(n)
     vals: list[int] = []
     for k in range(min(m, n)):
@@ -459,20 +474,26 @@ def _snf_numpy(rows, m: int, n: int, ring: RingSpec):
         bi, bj = bi + k, bj + k
         if bi != k:
             a[[k, bi], k:] = a[[bi, k], k:]
-            u[[k, bi]] = u[[bi, k]]
-            uinv[:, [k, bi]] = uinv[:, [bi, k]]
+            if u is not None:
+                u[[k, bi]] = u[[bi, k]]
+            if uinv is not None:
+                uinv[:, [k, bi]] = uinv[:, [bi, k]]
             row_origin[[k, bi]] = row_origin[[bi, k]]
         if bj != k:
             a[k:, [k, bj]] = a[k:, [bj, k]]
-            v[:, [k, bj]] = v[:, [bj, k]]
-            vinv[[k, bj]] = vinv[[bj, k]]
+            if v is not None:
+                v[:, [k, bj]] = v[:, [bj, k]]
+            if vinv is not None:
+                vinv[[k, bj]] = vinv[[bj, k]]
             col_origin[[k, bj]] = col_origin[[bj, k]]
         pivot = p ** val
         unit = int(a[k, k]) // pivot
         inv = ring.unit_inverse(unit)
         a[k, k:] = a[k, k:] * inv % mod
-        u[k] = u[k] * inv % mod
-        uinv[:, k] = uinv[:, k] * unit % mod
+        if u is not None:
+            u[k] = u[k] * inv % mod
+        if uinv is not None:
+            uinv[:, k] = uinv[:, k] * unit % mod
         # row_i += c_i row_k clears column k below the pivot, for the rows i
         # with a nonzero entry there; U^-1 absorbs all of them in column k.
         # Only the columns where row k of U is nonzero change in U.
@@ -480,74 +501,92 @@ def _snf_numpy(rows, m: int, n: int, ring: RingSpec):
         if below.size:
             c = -(a[below, k] // pivot) % mod
             a[below, k:] = (a[below, k:] + np.outer(c, a[k, k:])) % mod
-            support = np.flatnonzero(u[k])
-            block = np.ix_(below, support)
-            u[block] = (u[block] + np.outer(c, u[k, support])) % mod
-            hit = row_origin[below]
-            uinv[hit, k] = (uinv[hit, k] - c) % mod
+            if u is not None:
+                support = np.flatnonzero(u[k])
+                block = np.ix_(below, support)
+                u[block] = (u[block] + np.outer(c, u[k, support])) % mod
+            if uinv is not None:
+                hit = row_origin[below]
+                uinv[hit, k] = (uinv[hit, k] - c) % mod
         # col_j += d_j col_k clears row k right of the pivot; V^-1 absorbs
         # all of them in its row k.  Only row k of a changes, and it is done.
         right = k + 1 + np.flatnonzero(a[k, k + 1:])
         if right.size:
             d = -(a[k, right] // pivot) % mod
-            support = np.flatnonzero(v[:, k])
-            block = np.ix_(support, right)
-            v[block] = (v[block] + np.outer(v[support, k], d)) % mod
-            hit = col_origin[right]
-            vinv[k, hit] = (vinv[k, hit] - d) % mod
+            if v is not None:
+                support = np.flatnonzero(v[:, k])
+                block = np.ix_(support, right)
+                v[block] = (v[block] + np.outer(v[support, k], d)) % mod
+            if vinv is not None:
+                hit = col_origin[right]
+                vinv[k, hit] = (vinv[k, hit] - d) % mod
         vals.append(val)
     vals.extend([s] * (min(m, n) - len(vals)))
     # dropping each array once its list is built keeps the peak at the lists
-    # plus one array: 136 MB against 171 MB for lie-dims x:1,y:1 to weight 11
+    # plus one array: with all four built, 136 MB against 171 MB for lie-dims
+    # x:1,y:1 to weight 11
     mats = [u, uinv, v, vinv]
     del a, u, uinv, v, vinv
     for i in range(4):
-        mats[i] = mats[i].tolist()
+        if mats[i] is not None:
+            mats[i] = mats[i].tolist()
     return (*mats, vals)
 
 
-def _snf_lists(rows, m: int, n: int, ring: RingSpec):
+def _snf_lists(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
     """The Smith form of smith_normal_form_matrix on Python lists."""
     mod, p, s = ring.modulus, ring.p, ring.s
     a = [[int(x) % mod for x in row] for row in rows]
-    u, uinv = _identity(m), _identity(m)
-    v, vinv = _identity(n), _identity(n)
+    u, uinv, v, vinv = (
+        _identity(size) if name in build else None
+        for name, size in zip(SNF_TRANSFORMS, (m, m, n, n))
+    )
     vals: list[int] = []
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-        for r in uinv:
-            r[i], r[k] = r[k], r[i]
+        if u is not None:
+            u[i], u[k] = u[k], u[i]
+        if uinv is not None:
+            for r in uinv:
+                r[i], r[k] = r[k], r[i]
 
     def swap_cols(j, l):
         for r in a:
             r[j], r[l] = r[l], r[j]
-        for r in v:
-            r[j], r[l] = r[l], r[j]
-        vinv[j], vinv[l] = vinv[l], vinv[j]
+        if v is not None:
+            for r in v:
+                r[j], r[l] = r[l], r[j]
+        if vinv is not None:
+            vinv[j], vinv[l] = vinv[l], vinv[j]
 
     def scale_row(k, unit):
         inv = ring.unit_inverse(unit)
         a[k] = [x * inv % mod for x in a[k]]
-        u[k] = [x * inv % mod for x in u[k]]
-        for r in uinv:
-            r[k] = r[k] * unit % mod
+        if u is not None:
+            u[k] = [x * inv % mod for x in u[k]]
+        if uinv is not None:
+            for r in uinv:
+                r[k] = r[k] * unit % mod
 
     def add_row(k, i, c):
         # row_k += c * row_i
         a[k] = [(x + c * y) % mod for x, y in zip(a[k], a[i])]
-        u[k] = [(x + c * y) % mod for x, y in zip(u[k], u[i])]
-        for r in uinv:
-            r[i] = (r[i] - c * r[k]) % mod
+        if u is not None:
+            u[k] = [(x + c * y) % mod for x, y in zip(u[k], u[i])]
+        if uinv is not None:
+            for r in uinv:
+                r[i] = (r[i] - c * r[k]) % mod
 
     def add_col(l, j, c):
         # col_l += c * col_j
         for r in a:
             r[l] = (r[l] + c * r[j]) % mod
-        for r in v:
-            r[l] = (r[l] + c * r[j]) % mod
-        vinv[j] = [(x - c * y) % mod for x, y in zip(vinv[j], vinv[l])]
+        if v is not None:
+            for r in v:
+                r[l] = (r[l] + c * r[j]) % mod
+        if vinv is not None:
+            vinv[j] = [(x - c * y) % mod for x, y in zip(vinv[j], vinv[l])]
 
     for k in range(min(m, n)):
         best = None
@@ -683,7 +722,7 @@ def image_dims(phi: ModuleMorphism) -> GradedModule:
     ring = phi.domain.ring
     comps: dict[int, tuple[int, ...]] = {}
     for d, mat in phi.matrices:
-        _, _, _, _, vals = smith_normal_form_matrix(mat, ring)
+        *_, vals = smith_normal_form_matrix(mat, ring, build=())
         exps = tuple(ring.s - v for v in vals if v < ring.s)
         if exps:
             comps[d + phi.shift] = exps
@@ -812,7 +851,7 @@ def kernel_generators(phi: ModuleMorphism):
         mat = phi.matrix_at(d)
         rel = relations[d + phi.shift]
         stacked = [list(mat[i]) + list(rel[i]) for i in range(n)]
-        _, _, v, _, vals = smith_normal_form_matrix(stacked, ring)
+        _, _, v, _, vals = smith_normal_form_matrix(stacked, ring, build=("v",))
         width = m + n
         for k in range(width):
             if k < len(vals):
@@ -851,7 +890,7 @@ def is_surjective(phi: ModuleMorphism) -> bool:
             mat = tuple((0,) * m for _ in range(n))
         rel = relations[d]
         stacked = [list(mat[i]) + list(rel[i]) for i in range(n)]
-        _, _, _, _, vals = smith_normal_form_matrix(stacked, ring)
+        *_, vals = smith_normal_form_matrix(stacked, ring, build=())
         if len(vals) < n or any(v != 0 for v in vals):
             return False
     return True

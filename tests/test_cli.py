@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -124,6 +125,15 @@ class TestSubcommands:
         assert code == 0
         data = json.loads(out)
         assert data["ok"] is True
+
+    def test_selftest_stdout_is_pinned(self):
+        # suite names, case counts and failure text are CLI output: a faster
+        # suite must print the same bytes
+        code, out, _ = run_cli(["selftest", "--trials", "120", "--seed", "7"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "867875e83b9a556d0b5413d9c2d250417ed019ee15255a2934775439ff1c409d"
+        )
 
     def test_selftest_failure_exits_1(self, monkeypatch):
         from liegrowth import selfcheck

@@ -132,6 +132,7 @@ class TestTrees:
         names = tree_to_names(tree, gens)
         assert names == ["x", ["x", "y"]]
         assert tree_from_names(names, gens) == tree
+        assert tree_to_names(tree, gens.names) == names
 
 
 class TestEmbedTensor:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -17,6 +18,7 @@ from liegrowth.errors import (
 from liegrowth import _fp
 from liegrowth.zpmod import (
     SNF_NUMPY_ENTRIES,
+    SNF_TRANSFORMS,
     BasisChange,
     DirectSumSplit,
     GradedModule,
@@ -507,8 +509,8 @@ def snf_kernel_cases(draw):
 
 class TestSmithKernels:
     @settings(max_examples=150, deadline=None)
-    @given(snf_kernel_cases())
-    def test_numpy_kernel_matches_list_kernel(self, case):
+    @given(snf_kernel_cases(), st.sets(st.sampled_from(SNF_TRANSFORMS)))
+    def test_numpy_kernel_matches_list_kernel(self, case, build):
         ring, a = case
         m, n = a.shape
         expected = _snf_lists(a.tolist(), m, n, ring)
@@ -516,6 +518,15 @@ class TestSmithKernels:
         assert smith_normal_form_matrix(a, ring) == expected
         if m:
             assert smith_normal_form_matrix(a.tolist(), ring) == expected
+        # a request gets the full run's valuations and the transforms it
+        # names; the other slots are None
+        requested = tuple(
+            mat if name in build else None
+            for name, mat in zip(SNF_TRANSFORMS, expected[:4])
+        ) + (expected[4],)
+        assert _snf_lists(a.tolist(), m, n, ring, build) == requested
+        assert _snf_numpy(a, m, n, ring, build) == requested
+        assert smith_normal_form_matrix(a, ring, build=build) == requested
 
     def test_object_dtype_path(self):
         # p^2 overflows int64, so the numpy kernel runs on Python ints
@@ -528,12 +539,27 @@ class TestSmithKernels:
         assert _snf_numpy(a, 30, 30, ring) == expected
         assert smith_normal_form_matrix(np.array(a, dtype=object), ring) == expected
         assert all(type(x) is int for x in expected[3][0])
+        for size in range(len(SNF_TRANSFORMS) + 1):
+            for build in itertools.combinations(SNF_TRANSFORMS, size):
+                requested = tuple(
+                    mat if name in build else None
+                    for name, mat in zip(SNF_TRANSFORMS, expected[:4])
+                ) + (expected[4],)
+                assert _snf_lists(a, 30, 30, ring, build) == requested
+                assert _snf_numpy(a, 30, 30, ring, build) == requested
 
     def test_zero_rows_array(self):
         for n in (0, 3, SNF_NUMPY_ENTRIES + 1):
             u, uinv, v, vinv, vals = smith_normal_form_matrix(np.zeros((0, n)), R9)
             assert u == uinv == [] and vals == []
             assert v == vinv == [[int(i == j) for j in range(n)] for i in range(n)]
+            assert smith_normal_form_matrix(np.zeros((0, n)), R9, build=("v",)) == (
+                None, None, v, None, []
+            )
+
+    def test_unknown_transform_is_rejected(self):
+        with pytest.raises(InputError, match="unknown transforms"):
+            smith_normal_form_matrix([[1]], R9, build=("w",))
 
 
 class TestBasisChange:
