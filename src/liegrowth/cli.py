@@ -109,11 +109,11 @@ def cmd_homology(args):
 def cmd_tau_sigma(args):
     gens, spec = difflie.differential_pair(args.p, args.deg_x)
     x = freelie.FreeNAElement.generator(gens, "x")
-    limit = None if not args.unsafe_limits else 10 ** 9
-    t = difflie.tau(x, spec, args.k, max_weight=limit)
-    s = difflie.sigma(x, spec, args.k, max_weight=limit)
-    dt = freelie.embed_tensor(difflie.differentiate(t, spec))
-    ds = freelie.embed_tensor(difflie.differentiate(s, spec))
+    t = difflie.tau(x, spec, args.k)
+    s = difflie.sigma(x, spec, args.k)
+    # d(embed(c)) = embed(d(c)), and c has far fewer trees than d(c)
+    dt = difflie.differentiate(freelie.embed_tensor(t), spec)
+    ds = difflie.differentiate(freelie.embed_tensor(s), spec)
     payload = {
         "p": args.p,
         "k": args.k,
@@ -328,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--deg-x", dest="deg_x", type=int, default=2)
-    sp.add_argument("--unsafe-limits", action="store_true")
 
     sp = add("ineq", cmd_ineq, help="weighted-dimension inequalities")
     sp.add_argument("--p", type=int, required=True)

@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .freelie import (
+    WORD_GUARD,
     FreeNAElement,
     GeneratorSet,
     TensorElement,
@@ -112,16 +113,19 @@ def differentiate(element, spec):
             terms.extend((t, coeff * c) for t, c in _d_tree(tree, spec))
         return FreeNAElement(gens, tuple(terms))
     if isinstance(element, TensorElement):
-        terms = []
+        modulus = gens.ring.modulus
+        acc: dict = {}
         for word, coeff in element.terms:
             sign = 1
             for i, letter in enumerate(word):
                 for img_tree, c in spec.images[letter].terms:
                     new_word = word[:i] + (img_tree,) + word[i + 1:]
-                    terms.append((new_word, sign * coeff * c))
+                    total = (acc.pop(new_word, 0) + sign * coeff * c) % modulus
+                    if total:  # cancelled words leave at once: half the peak memory at w = 127
+                        acc[new_word] = total
                 if gens.degrees[letter] % 2:
                     sign = -sign
-        return TensorElement(gens, tuple(terms))
+        return TensorElement(gens, tuple(acc.items()))
     raise InputError(f"cannot differentiate a {type(element).__name__}")
 
 
@@ -247,32 +251,40 @@ def _homology_decompositions(gens, spec, k, u):
 # The explicit cycles
 
 
-def _check_cycle_guard(p: int, target_weight: int, max_weight):
-    limit = (12 if p == 3 else 5) if max_weight is None else max_weight
-    if target_weight > limit:
-        raise ResourceGuardError(
-            f"cycle of weight {target_weight} exceeds the guard of {limit}"
-        )
+def _cycle_order(x_elem: FreeNAElement, k: int) -> int:
+    """p^k, refusing k < 1 and w C(w, 2) > WORD_GUARD for w = p^k wt(x): sigma
+    has about w trees of up to C(w, 2) words.  p^k grows one factor at a
+    time, so a huge k is refused at once."""
+    if k < 1:
+        raise InputError(f"k must be at least 1, got {k}")
+    p, q = x_elem.gens.ring.p, 1
+    for _ in range(k):
+        q *= p
+        w = q * x_elem.weight
+        if w * comb(w, 2) > WORD_GUARD:
+            raise ResourceGuardError(
+                f"tau_{k} and sigma_{k} at p = {p} have weight p^k*wt(x) >= {w}, and "
+                f"w*C(w, 2) = {w * comb(w, 2)} exceeds the guard of {WORD_GUARD}; "
+                "this guard has no override"
+            )
+    return q
 
 
-def tau(x_elem: FreeNAElement, spec: DifferentialSpec, k: int,
-        max_weight: int | None = None) -> FreeNAElement:
+def tau(x_elem: FreeNAElement, spec: DifferentialSpec, k: int) -> FreeNAElement:
     """The iterated bracket ad^{p^k - 1}(x)(dx) for an even-degree x.
 
     Degree p^k deg(x) - 1, weight p^k wt(x).
     """
     if x_elem.is_zero() or x_elem.degree % 2:
         raise ParityError("tau needs a nonzero even-degree element")
-    p = x_elem.gens.ring.p
-    _check_cycle_guard(p, p ** k * x_elem.weight, max_weight)
+    q = _cycle_order(x_elem, k)
     out = differentiate(x_elem, spec)
-    for _ in range(p ** k - 1):
+    for _ in range(q - 1):
         out = bracket(x_elem, out)
     return out
 
 
-def sigma(x_elem: FreeNAElement, spec: DifferentialSpec, k: int,
-          max_weight: int | None = None) -> FreeNAElement:
+def sigma(x_elem: FreeNAElement, spec: DifferentialSpec, k: int) -> FreeNAElement:
     """The binomial-weighted bracket sum companion of tau.
 
     (1/2) sum_{j=1}^{p^k - 1} (1/p) C(p^k, j) [ad^{j-1}(x)(dx),
@@ -285,18 +297,17 @@ def sigma(x_elem: FreeNAElement, spec: DifferentialSpec, k: int,
         raise UnsupportedInputError("sigma is not defined at p = 2")
     if x_elem.is_zero() or x_elem.degree % 2:
         raise ParityError("sigma needs a nonzero even-degree element")
-    q = p ** k
-    _check_cycle_guard(p, q * x_elem.weight, max_weight)
+    q = _cycle_order(x_elem, k)
     inv2 = pow(2, -1, p)
     ad_pow = [differentiate(x_elem, spec)]
     for _ in range(q - 2):
         ad_pow.append(bracket(x_elem, ad_pow[-1]))
-    out = FreeNAElement.zero(x_elem.gens)
+    terms = []
     for j in range(1, q):
         c = comb(q, j) // p % p * inv2 % p
         if c:
-            out = out + bracket(ad_pow[j - 1], ad_pow[q - 1 - j]).scale(c)
-    return out
+            terms.extend(bracket(ad_pow[j - 1], ad_pow[q - 1 - j]).scale(c).terms)
+    return FreeNAElement(x_elem.gens, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,8 @@ def tree_sort_key(tree):
     """Total order on trees: weight first, then recursive structure."""
     if isinstance(tree, int):
         return (1, 0, tree)
-    return (tree_weight(tree), 1, tree_sort_key(tree[0]), tree_sort_key(tree[1]))
+    left, right = tree_sort_key(tree[0]), tree_sort_key(tree[1])
+    return (left[0] + right[0], 1, left, right)
 
 
 def tree_to_names(tree, gens):
@@ -283,19 +284,26 @@ def tensor_dim(gens: GeneratorSet, k: int) -> int:
 def embed_tensor(element: FreeNAElement) -> TensorElement:
     """Expand bracketing trees into alternating word sums inside T(V)."""
     gens = element.gens
+    modulus = gens.ring.modulus
 
-    def expand(tree) -> TensorElement:
+    def expand(tree):
+        """The word -> coefficient dict of one tree, and the tree's degree."""
         if isinstance(tree, int):
-            return TensorElement.from_word(gens, (tree,))
-        left, right = tree
-        a, b = expand(left), expand(right)
-        sign = -1 if (tree_degree(left, gens) % 2 and tree_degree(right, gens) % 2) else 1
-        return a * b + (b * a).scale(-sign)
+            return {(tree,): 1}, gens.degrees[tree]
+        (a, deg_a), (b, deg_b) = expand(tree[0]), expand(tree[1])
+        sign = -1 if deg_a % 2 and deg_b % 2 else 1  # [a, b] = ab - sign ba
+        out: dict = {}
+        for wa, ca in a.items():
+            for wb, cb in b.items():
+                out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+                out[wb + wa] = out.get(wb + wa, 0) - sign * ca * cb
+        return {w: c % modulus for w, c in out.items() if c % modulus}, deg_a + deg_b
 
-    out = TensorElement.zero(gens)
+    acc: dict = {}
     for tree, coeff in element.terms:
-        out = out + expand(tree).scale(coeff)
-    return out
+        for word, c in expand(tree)[0].items():
+            acc[word] = acc.get(word, 0) + coeff * c
+    return TensorElement(gens, tuple(acc.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -717,7 +717,7 @@ def check_differential(p: int = 3, trials: int = 300, seed: int = 9,
 
 
 def check_cycles(primes=(3, 5)):
-    """tau and sigma are cycles at the guarded sizes."""
+    """tau and sigma are cycles."""
     result = SuiteResult("tau/sigma cycles")
 
     def body():

@@ -168,7 +168,7 @@ class TestExitCodes:
         assert code == 2
 
     def test_resource_guard_is_3(self):
-        code, _, err = run_cli(["tau-sigma", "--p", "3", "--k", "3"])
+        code, _, err = run_cli(["tau-sigma", "--p", "3", "--k", "5"])
         assert code == 3
         assert "resource guard" in err
 
@@ -226,11 +226,21 @@ class TestExitCodes:
                                 "--gens", "x:1,y:1", "--max-weight", "30"])
         assert code == 2 and "coefficient exponent 2 outside [1, 1]" in err
 
-    def test_guard_override(self):
-        code, _, _ = run_cli(
-            ["tau-sigma", "--p", "3", "--k", "3", "--unsafe-limits"]
-        )
+    def test_weight_27_cycles_need_no_flag(self):
+        code, out, _ = run_cli(["tau-sigma", "--p", "3", "--k", "3"])
         assert code == 0
+        data = json.loads(out)
+        assert data["weight"] == 27
+        assert data["d_tau_is_zero"] and data["d_sigma_is_zero"]
+
+    def test_tau_sigma_k_at_the_boundary(self):
+        for k, expected in (("0", 2), ("-1", 2), ("100000000", 3)):
+            start = time.perf_counter()
+            code, out, err = run_cli(["tau-sigma", "--p", "3", "--k", k])
+            assert time.perf_counter() - start < 1
+            assert code == expected and not out
+        code, _, err = run_cli(["tau-sigma", "--p", "131", "--k", "1"])
+        assert code == 3 and "no override" in err
 
 
 class TestDeterminism:

@@ -1,8 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from liegrowth import difflie
 from liegrowth.difflie import (
     BigradedComplex,
     DifferentialSpec,
@@ -183,12 +185,50 @@ class TestCycles:
                 for elem in (tau(x, spec, k), sigma(x, spec, k)):
                     assert embed_tensor(differentiate(elem, spec)).is_zero()
 
-    def test_guard(self, pair3):
+    def test_d_commutes_with_embedding_on_cycles(self):
+        # the CLI checks d(embed(c)) instead of embed(d(c))
+        for p, k in ((3, 1), (3, 2), (5, 1), (7, 1)):
+            gens, spec = differential_pair(p, 2)
+            x = FreeNAElement.generator(gens, "x")
+            for elem in (tau(x, spec, k), sigma(x, spec, k)):
+                assert (differentiate(embed_tensor(elem), spec)
+                        == embed_tensor(differentiate(elem, spec)))
+
+    def test_size_bound(self, monkeypatch):
+        # w = p^k wt(x) is refused when w C(w, 2) > WORD_GUARD, i.e. w > 128,
+        # at every prime and before any bracket is formed
+        for p, k in ((7, 1), (3, 3)):
+            gens, spec = differential_pair(p, 2)
+            x = FreeNAElement.generator(gens, "x")
+            for elem in (tau(x, spec, k), sigma(x, spec, k)):
+                assert differentiate(embed_tensor(elem), spec).is_zero()
+
+        def no_work(*args):
+            raise AssertionError("work before the bound")
+
+        monkeypatch.setattr(difflie, "differentiate", no_work)
+        monkeypatch.setattr(difflie, "bracket", no_work)
+        for p, k, w, size in ((3, 5, 243, 7144929), (131, 1, 131, 1115465)):
+            gens, spec = differential_pair(p, 2)
+            x = FreeNAElement.generator(gens, "x")
+            for cycle in (tau, sigma):
+                with pytest.raises(ResourceGuardError) as exc:
+                    cycle(x, spec, k)
+                msg = str(exc.value)
+                assert f">= {w}" in msg and f"= {size} exceeds the guard of 1048576" in msg
+                assert "no override" in msg
+
+    def test_k_is_checked_at_the_boundary(self, pair3):
         gens, spec = pair3
         x = FreeNAElement.generator(gens, "x")
-        with pytest.raises(ResourceGuardError):
-            tau(x, spec, 3)  # weight 27 > default limit 12
-        tau(x, spec, 3, max_weight=27)  # explicit override
+        for cycle in (tau, sigma):
+            for k in (0, -1):
+                with pytest.raises(InputError, match="k must be at least 1"):
+                    cycle(x, spec, k)
+            start = time.perf_counter()
+            with pytest.raises(ResourceGuardError):
+                cycle(x, spec, 10 ** 8)  # p ** k itself would not finish
+            assert time.perf_counter() - start < 1
 
     def test_sigma_rejects_p2(self):
         gens, spec = differential_pair(2, 2)

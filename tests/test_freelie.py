@@ -134,6 +134,13 @@ class TestTrees:
         assert tree_from_names(names, gens) == tree
         assert tree_to_names(tree, gens.names) == names
 
+    def test_sort_key_takes_weight_from_children(self):
+        basis = hall_basis(2, 8)
+        for k in range(1, 9):
+            trees = basis.at_weight(k)
+            assert sorted(trees, key=tree_sort_key) == list(trees)
+            assert all(tree_sort_key(t)[0] == tree_weight(t) == k for t in trees)
+
 
 class TestEmbedTensor:
     def test_even_odd_bracket(self):

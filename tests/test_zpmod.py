@@ -487,12 +487,18 @@ class TestSmithNormalForm:
 @st.composite
 def snf_kernel_cases(draw):
     """A matrix over Z/p^s on either side of SNF_NUMPY_ENTRIES, possibly
-    with zero rows, zero columns or no entries at all."""
+    with zero rows, zero columns or no entries at all.  The side is drawn
+    first, so each kernel gets a steady share of the examples."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     ring = RingSpec(p, draw(st.integers(1, 4)))
     r = math.isqrt(SNF_NUMPY_ENTRIES)
-    sizes = st.sampled_from((0, 1, 2, 3, 8, r - 1, r, r + 1, 2 * r))
-    m, n = draw(sizes), draw(sizes)
+    sizes = (0, 1, 2, 3, 8, r - 1, r, r + 1, 2 * r)
+    wide = draw(st.booleans())
+    # a wide side needs an m that reaches the threshold with the largest n
+    m = draw(st.sampled_from(
+        [x for x in sizes if not wide or x * sizes[-1] >= SNF_NUMPY_ENTRIES]
+    ))
+    n = draw(st.sampled_from([x for x in sizes if (m * x >= SNF_NUMPY_ENTRIES) == wide]))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     pool = [0, p, p ** (ring.s - 1)]
     density = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
