@@ -83,7 +83,7 @@ def cmd_lie_dims(args):
     payload = {"p": args.p, "u": args.u, "gens": args.gens, "weights": []}
     csv = [("k", "degree", "exponents")]
     for k in range(1, args.max_k + 1):
-        dims, _ = freelie.lie_component(gens, k, args.u)
+        dims = freelie._summands(gens, k, args.u)
         entry = {"k": k, "total": dims.total_rank(), "by_degree": {}}
         for d, exps in dims.components:
             entry["by_degree"][str(d)] = list(exps)

@@ -28,11 +28,10 @@ from .errors import (
     InvalidExponentError,
     ResourceGuardError,
 )
-from .zpmod import GradedModule, RingSpec, smith_normal_form_matrix
+from .zpmod import GradedModule, RingSpec, _snf_numpy
 
 WORD_GUARD = 2 ** 20  # n^k above this is refused
 BLOCK_GUARD = 2 ** 14  # a (weight, degree) block wider than this is refused
-SMITH_BLOCK_GUARD = 2 ** 11  # the same bound for coefficients mod p^u, u > 1
 
 
 @dataclass(frozen=True)
@@ -396,15 +395,14 @@ def hall_basis(n_gens: int, max_weight: int) -> HallBasis:
 
 def _check_word_guard(gens: GeneratorSet, k: int, u: int):
     """Check 1 <= u <= the ring exponent, then refuse weight k beyond
-    WORD_GUARD words or with a degree block wider than BLOCK_GUARD, or
-    SMITH_BLOCK_GUARD when u > 1 (the Smith form's V and V^-1 are
-    width x width: 134 MB each in int64 at 4096 words); the widths are the
-    coefficients of (sum_a t^{|a|})^k."""
+    WORD_GUARD words or with a degree block wider than BLOCK_GUARD, for
+    every u: no array of the span build is width x width.  The widths are
+    the coefficients of (sum_a t^{|a|})^k.  Neither bound has an override."""
     if not 1 <= u <= gens.ring.s:
         raise InvalidExponentError(f"coefficient exponent {u} outside [1, {gens.ring.s}]")
     if gens.n ** k > WORD_GUARD:
         raise ResourceGuardError(
-            f"{gens.n}^{k} words exceed the guard of {WORD_GUARD}"
+            f"{gens.n}^{k} words exceed the guard of {WORD_GUARD}; this guard has no override"
         )
     widths = {0: 1}
     for _ in range(k):
@@ -413,11 +411,10 @@ def _check_word_guard(gens: GeneratorSet, k: int, u: int):
             for d in gens.degrees:
                 step[deg + d] = step.get(deg + d, 0) + count
         widths = step
-    limit = BLOCK_GUARD if u == 1 else SMITH_BLOCK_GUARD
-    if max(widths.values()) > limit:
+    if max(widths.values()) > BLOCK_GUARD:
         raise ResourceGuardError(
             f"the widest degree block of weight {k} has {max(widths.values())} "
-            f"words, above the guard of {limit} for coefficients mod p^{u}"
+            f"words, above the guard of {BLOCK_GUARD}; this guard has no override"
         )
 
 
@@ -514,7 +511,8 @@ def _span_blocks(gens: GeneratorSet, k: int, u: int):
     ring, the span is generated by ad_a applied to the cached weight-(k-1)
     basis, for every generator a.  Over F_p the basis is the rref, which is
     unique, with its pivots; over Z/p^u (u > 1) it is the Smith basis
-    p^v Vinv[i] for the valuations v < u, with exponent u - v and no pivots.
+    p^v V^-1[i] for the valuations v < u, with exponent u - v and no pivots,
+    read off the Smith kernel as the rows of U*A, so no transform is built.
     """
     _check_word_guard(gens, k, u)
     p = gens.ring.p
@@ -536,24 +534,20 @@ def _span_blocks(gens: GeneratorSet, k: int, u: int):
             basis, pivots = _fp.rref(np.concatenate(spans[deg]), p)
             exps = (1,) * len(basis)
         else:
-            span = np.concatenate(spans[deg])
+            span = np.concatenate(spans.pop(deg))  # one copy of the rows, not two
             span = span[(span != 0).any(axis=1)]
-            _, _, _, vinv, vals = smith_normal_form_matrix(
-                span, RingSpec(p, u), build=("vinv",)
-            )
-            vals = [v for v in vals if v < u]
-            exps, pivots = tuple(u - v for v in vals), ()
-            basis = _fp.residues(
-                [[p ** v * x for x in vinv[i]] for i, v in enumerate(vals)], modulus
-            ).reshape(len(vals), len(codes))
+            *_, vals, ua = _snf_numpy(span, *span.shape, RingSpec(p, u), ())
+            exps, pivots = tuple(u - v for v in vals[:len(ua)]), ()
+            basis = _fp.residues(ua, modulus)
         out[deg] = (codes, exps, _frozen(basis), tuple(pivots))
     return out
 
 
-def _row_to_tensor(gens, words, row) -> TensorElement:
-    return TensorElement(
-        gens, tuple((w, int(c)) for w, c in zip(words, row) if c % gens.ring.modulus)
-    )
+def _summands(gens: GeneratorSet, k: int, u: int) -> GradedModule:
+    """The summand decomposition of the weight-k commutator span over Z/p^u:
+    the exponents of _span_blocks, with no basis element built."""
+    comps = {deg: exps for deg, (_, exps, _, _) in _span_blocks(gens, k, u).items()}
+    return GradedModule.from_dict(RingSpec(gens.ring.p, u), comps)
 
 
 def lie_component(gens: GeneratorSet, k: int, u: int):
@@ -565,20 +559,18 @@ def lie_component(gens: GeneratorSet, k: int, u: int):
     Z/p^u.  Over the prime field (u = 1) ranks come from row reduction;
     over larger u the Smith form of that matrix gives the decomposition,
     and the basis elements returned are p^v times rows of the inverse
-    column transform, ordered to match the exponent lists.
+    column transform, ordered to match the exponent lists.  Callers that
+    need no basis read the decomposition alone from _summands.
     """
-    blocks = _span_blocks(gens, k, u)
-    ring_u = RingSpec(gens.ring.p, u)
-    out_gens = GeneratorSet(gens.names, gens.degrees, ring_u)
-    comps: dict[int, tuple[int, ...]] = {}
+    dims = _summands(gens, k, u)
+    out_gens = GeneratorSet(gens.names, gens.degrees, dims.ring)
     basis: list[TensorElement] = []
-    for deg, (codes, exps, rows, _) in sorted(blocks.items()):
-        if not exps:
-            continue
-        comps[deg] = exps
+    for deg, (codes, _, rows, _) in sorted(_span_blocks(gens, k, u).items()):
         words = _code_words(codes, gens.n, k)
-        basis.extend(_row_to_tensor(out_gens, words, row) for row in rows.tolist())
-    return GradedModule.from_dict(ring_u, comps), basis
+        # the rows are residues mod p^u: an entry is zero iff its class is
+        basis += [TensorElement(out_gens, tuple((w, c) for w, c in zip(words, row) if c))
+                  for row in rows.tolist()]
+    return dims, basis
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +637,7 @@ def pbw_series_diagnostic(gens: GeneratorSet, max_weight: int) -> PBWDiagnostic:
     rows = []
     series = [1] + [0] * K
     for k in range(1, K + 1):
-        dims, _ = lie_component(gens, k, 1)
+        dims = _summands(gens, k, 1)
         even = sum(len(e) for d, e in dims.components if d % 2 == 0)
         odd = sum(len(e) for d, e in dims.components if d % 2 == 1)
         total = even + odd

@@ -441,18 +441,21 @@ def smith_normal_form_matrix(rows, ring: RingSpec, *, build=SNF_TRANSFORMS):
         m = len(rows)
         n = len(rows[0]) if m else 0
     if m * n >= SNF_NUMPY_ENTRIES:
-        return _snf_numpy(rows, m, n, ring, build)
+        return _snf_numpy(rows, m, n, ring, build)[:5]
     rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
     return _snf_lists(rows, m, n, ring, build)
 
 
 def _snf_numpy(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
     """The Smith form of smith_normal_form_matrix, one numpy update per
-    elimination.  Only the trailing block a[k:, k:] is kept up to date: rows
-    and columns before k are zero off the diagonal.  Step k changes column k
-    of U^-1 and row k of V^-1 and only swaps the later ones, so at step k
-    column i > k of U^-1 is the unit vector at row_origin[i] (the input row
-    now at i) and row j > k of V^-1 the one at col_origin[j]."""
+    elimination, then U*A = D*V^-1 on its rank nonzero rows, whose row i is
+    p^vals[i] V^-1[i].  Row operations touch a[k:, k:] only, as columns
+    before k are zero below the diagonal; column swaps act on every row of
+    a, and column clearing never writes to a, so a[:rank] ends as U*A*P for
+    the column permutation P.  Step k changes column k of U^-1 and row k of
+    V^-1 and only swaps the later ones, so at step k column i > k of U^-1
+    is the unit vector at row_origin[i] (the input row now at i) and row
+    j > k of V^-1 the one at col_origin[j]."""
     mod, p, s = ring.modulus, ring.p, ring.s
     # every update is x + c * y on residues, below 2 * mod^2
     a = _fp.residues(rows, mod, 2).reshape(m, n)
@@ -480,7 +483,7 @@ def _snf_numpy(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
                 uinv[:, [k, bi]] = uinv[:, [bi, k]]
             row_origin[[k, bi]] = row_origin[[bi, k]]
         if bj != k:
-            a[k:, [k, bj]] = a[k:, [bj, k]]
+            a[:, [k, bj]] = a[:, [bj, k]]
             if v is not None:
                 v[:, [k, bj]] = v[:, [bj, k]]
             if vinv is not None:
@@ -521,16 +524,17 @@ def _snf_numpy(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
                 hit = col_origin[right]
                 vinv[k, hit] = (vinv[k, hit] - d) % mod
         vals.append(val)
+    ua = np.empty_like(a[:len(vals)])
+    ua[:, col_origin] = a[:len(vals)]
     vals.extend([s] * (min(m, n) - len(vals)))
     # dropping each array once its list is built keeps the peak at the lists
-    # plus one array: with all four built, 136 MB against 171 MB for lie-dims
-    # x:1,y:1 to weight 11
+    # plus one array
     mats = [u, uinv, v, vinv]
     del a, u, uinv, v, vinv
     for i in range(4):
         if mats[i] is not None:
             mats[i] = mats[i].tolist()
-    return (*mats, vals)
+    return (*mats, vals, ua)
 
 
 def _snf_lists(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):

@@ -205,13 +205,13 @@ class TestExitCodes:
 
     def test_word_guard_refuses_before_any_work(self):
         # the top weight is checked before weights 1..max - 1 are computed
-        for argv, words, limit, u in (
+        # one block bound for every coefficient exponent u
+        for argv, words in (
             (["lie-dims", "--p", "3", "--u", "2", "--gens", "x:1,y:1",
-              "--max-weight", "12"], 4096, 2048, 2),
-            (["lie-dims", "--p", "3", "--gens", "x:2,y:1", "--max-weight", "17"],
-             24310, 16384, 1),
-            (["homology", "--p", "3", "--deg-x", "2", "--max-weight", "17"], 24310, 16384, 1),
-            (["ineq", "--p", "3", "--max-k", "17"], 24310, 16384, 1),
+              "--max-weight", "15"], 32768),
+            (["lie-dims", "--p", "3", "--gens", "x:2,y:1", "--max-weight", "17"], 24310),
+            (["homology", "--p", "3", "--deg-x", "2", "--max-weight", "17"], 24310),
+            (["ineq", "--p", "3", "--max-k", "17"], 24310),
         ):
             start = time.perf_counter()
             code, out, err = run_cli(argv)
@@ -219,7 +219,7 @@ class TestExitCodes:
             assert code == 3 and not out
             assert err == (
                 f"resource guard: the widest degree block of weight {argv[-1]} has "
-                f"{words} words, above the guard of {limit} for coefficients mod p^{u}\n"
+                f"{words} words, above the guard of 16384; this guard has no override\n"
             )
         # a coefficient exponent above the ring's is still invalid input first
         code, _, err = run_cli(["lie-dims", "--p", "3", "--u", "2", "--r", "1",

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from liegrowth.errors import InputError, InvalidExponentError, ResourceGuardError
 from liegrowth.freelie import (
     BLOCK_GUARD,
-    SMITH_BLOCK_GUARD,
     FreeNAElement,
     GeneratorSet,
     TensorElement,
@@ -331,7 +330,8 @@ class TestLieComponent:
 
     def test_resource_guard(self):
         gens = GeneratorSet.build([(f"g{i}", 1) for i in range(4)], F3)
-        with pytest.raises(ResourceGuardError):
+        with pytest.raises(ResourceGuardError, match=r"4\^11 words exceed the guard "
+                           f"of {2 ** 20}; this guard has no override"):
             lie_component(gens, 11, 1)  # 4^11 > 2^20
 
     def test_widest_block_guard(self):
@@ -346,19 +346,20 @@ class TestLieComponent:
         with pytest.raises(ResourceGuardError):
             _check_word_guard(mixed, 17, 1)  # C(17, 8) = 24310
 
-    def test_smith_block_guard(self):
-        # over Z/p^u, u > 1, the Smith form bounds blocks at 2^11 words
+    def test_block_guard_is_the_same_for_every_u(self):
+        # over Z/9 the span basis builds no width x width transform, so the
+        # u = 1 block bound holds unchanged
         gens = GeneratorSet.build([("x", 1), ("y", 1)], RingSpec(3, 2))
         start = time.perf_counter()
-        with pytest.raises(ResourceGuardError, match=f"4096 words.* {SMITH_BLOCK_GUARD}"):
-            lie_component(gens, 12, 2)  # a single block of 2^12 words
+        with pytest.raises(ResourceGuardError, match=f"32768 words.* {BLOCK_GUARD}; "
+                           "this guard has no override"):
+            lie_component(gens, 15, 2)  # a single block of 2^15 words
         assert time.perf_counter() - start < 1
-        _check_word_guard(gens, 11, 2)  # 2^11 words is the widest admitted
-        _check_word_guard(gens, 14, 1)  # the u = 1 limit is unchanged
+        _check_word_guard(gens, 14, 2)  # 2^14 words is the widest admitted
         mixed = GeneratorSet.build([("x", 2), ("y", 1)], RingSpec(3, 2))
-        _check_word_guard(mixed, 13, 2)  # widest block C(13, 6) = 1716
-        with pytest.raises(ResourceGuardError):
-            _check_word_guard(mixed, 14, 2)  # C(14, 7) = 3432
+        _check_word_guard(mixed, 16, 2)  # widest block C(16, 8) = 12870
+        with pytest.raises(ResourceGuardError, match="24310 words"):
+            _check_word_guard(mixed, 17, 2)  # C(17, 8) = 24310
 
 
 class TestPBWDiagnostic:

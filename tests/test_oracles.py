@@ -459,12 +459,14 @@ class TestLargePrimes:
             assert _fp.rank(mat, BIG_P) == python_rank(mat, BIG_P)
 
     def test_lie_component_u2_matches_reference(self):
-        gens = GeneratorSet.build([("x", 2), ("y", 1)], RingSpec(BIG_P, 2))
-        for k in range(1, 6):
-            dims, basis = lie_component(gens, k, 2)
-            ref_dims, ref_basis = reference_lie_component(gens, k, 2)
-            assert dims == ref_dims
-            assert [b.terms for b in basis] == [b.terms for b in ref_basis]
+        # BIG_P runs on Python ints; at p = 2 not every exponent is u
+        for p, u in ((BIG_P, 2), (2, 3), (3, 3)):
+            gens = GeneratorSet.build([("x", 2), ("y", 1)], RingSpec(p, u))
+            for k in range(1, 6):
+                dims, basis = lie_component(gens, k, u)
+                ref_dims, ref_basis = reference_lie_component(gens, k, u)
+                assert dims == ref_dims
+                assert [b.terms for b in basis] == [b.terms for b in ref_basis]
 
     def test_homology_at_large_prime(self):
         # above the weight, the answer no longer depends on p; 1000003 runs

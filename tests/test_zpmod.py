@@ -513,6 +513,16 @@ def snf_kernel_cases(draw):
     return ring, a
 
 
+def assert_rows_are_scaled_vinv(rows, expected, ring):
+    """The numpy kernel's U*A rows are p^v V^-1[i] mod p^s, for each
+    valuation v < s of the list kernel's run."""
+    vinv, vals = expected[3], expected[4]
+    scaled = [[ring.p ** v * x % ring.modulus for x in vinv[i]]
+              for i, v in enumerate(vals) if v < ring.s]
+    assert rows.shape == (len(scaled), len(vinv))
+    assert rows.tolist() == scaled
+
+
 class TestSmithKernels:
     @settings(max_examples=150, deadline=None)
     @given(snf_kernel_cases(), st.sets(st.sampled_from(SNF_TRANSFORMS)))
@@ -520,7 +530,9 @@ class TestSmithKernels:
         ring, a = case
         m, n = a.shape
         expected = _snf_lists(a.tolist(), m, n, ring)
-        assert _snf_numpy(a, m, n, ring) == expected
+        result = _snf_numpy(a, m, n, ring)
+        assert result[:5] == expected
+        assert_rows_are_scaled_vinv(result[5], expected, ring)
         assert smith_normal_form_matrix(a, ring) == expected
         if m:
             assert smith_normal_form_matrix(a.tolist(), ring) == expected
@@ -531,7 +543,9 @@ class TestSmithKernels:
             for name, mat in zip(SNF_TRANSFORMS, expected[:4])
         ) + (expected[4],)
         assert _snf_lists(a.tolist(), m, n, ring, build) == requested
-        assert _snf_numpy(a, m, n, ring, build) == requested
+        result = _snf_numpy(a, m, n, ring, build)
+        assert result[:5] == requested
+        assert_rows_are_scaled_vinv(result[5], expected, ring)
         assert smith_normal_form_matrix(a, ring, build=build) == requested
 
     def test_object_dtype_path(self):
@@ -542,7 +556,9 @@ class TestSmithKernels:
         a = [[rng.randrange(ring.modulus) if rng.random() < 0.7 else 0 for _ in range(30)]
              for _ in range(30)]
         expected = _snf_lists(a, 30, 30, ring)
-        assert _snf_numpy(a, 30, 30, ring) == expected
+        result = _snf_numpy(a, 30, 30, ring)
+        assert result[:5] == expected
+        assert_rows_are_scaled_vinv(result[5], expected, ring)
         assert smith_normal_form_matrix(np.array(a, dtype=object), ring) == expected
         assert all(type(x) is int for x in expected[3][0])
         for size in range(len(SNF_TRANSFORMS) + 1):
@@ -552,7 +568,9 @@ class TestSmithKernels:
                     for name, mat in zip(SNF_TRANSFORMS, expected[:4])
                 ) + (expected[4],)
                 assert _snf_lists(a, 30, 30, ring, build) == requested
-                assert _snf_numpy(a, 30, 30, ring, build) == requested
+                result = _snf_numpy(a, 30, 30, ring, build)
+                assert result[:5] == requested
+                assert_rows_are_scaled_vinv(result[5], expected, ring)
 
     def test_zero_rows_array(self):
         for n in (0, 3, SNF_NUMPY_ENTRIES + 1):
