@@ -44,9 +44,10 @@ def rref(matrix, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p.
 
     Returns (nonzero rows, pivot column indices).  Rows are scaled so each
-    pivot entry is 1 and pivot columns are cleared above and below.
+    pivot entry is 1 and pivot columns are cleared above and below.  The
+    input is left unchanged.  A 0 x n matrix has no pivots.
     """
-    m = as_fp(matrix, p).copy()
+    m = as_fp(matrix, p)  # residues always allocates (% or astype): safe to edit
     nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
@@ -74,17 +75,3 @@ def rank(matrix, p: int) -> int:
     _, pivots = rref(matrix, p)
     return len(pivots)
 
-
-def solve(matrix, target, p: int):
-    """One solution x of ``matrix @ x = target`` mod p, or None."""
-    m = as_fp(matrix, p)
-    t = as_fp(target, p).ravel()
-    nrows, ncols = m.shape
-    aug = np.concatenate([m, t.reshape(-1, 1)], axis=1)
-    rows, pivots = rref(aug, p)
-    if ncols in pivots:
-        return None
-    x = np.zeros(ncols, dtype=int_dtype(p))
-    for k, c in enumerate(pivots):
-        x[c] = rows[k, -1]
-    return x

@@ -73,7 +73,7 @@ def cmd_hall(args):
 
 
 def _gens_from_args(args):
-    ring = RingSpec(args.p, getattr(args, "r", 1))
+    ring = RingSpec(args.p, args.u if args.r is None else args.r)
     return GeneratorSet.build(_parse_gens(args.gens), ring)
 
 
@@ -385,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "r", None) is None and hasattr(args, "u"):
-        args.r = args.u
     try:
         out = args.handler(args)
     except ResourceGuardError as exc:

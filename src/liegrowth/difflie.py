@@ -407,9 +407,12 @@ def acyclic_basis(cx: BigradedComplex) -> AcyclicBasis:
 
     Walks each weight from the bottom degree up: the kernel basis at one
     level is lifted through d to the next, a kernel basis of the new level
-    is adjoined, and each lift pairs with its image.  Any failed lift, or a
-    leftover kernel at the top, is reported with the first (degree, weight)
-    where homology is nonzero.
+    is adjoined, and each lift pairs with its image.  One rref of
+    [d | kernel below] per block answers both: its first r columns are
+    rref(d), whose free columns give the kernel, and the target columns
+    read off every lift at once.  Any failed lift (a pivot among the
+    targets), or a leftover kernel at the top, is reported with the first
+    (degree, weight) where homology is nonzero.
     """
     p = cx.p
     even_pairs = []
@@ -426,23 +429,20 @@ def acyclic_basis(cx: BigradedComplex) -> AcyclicBasis:
                 m = np.zeros((rows_below, r), dtype=np.int64)
             else:
                 m = np.array(mat, dtype=np.int64)
-            contiguous = prev_deg is not None and deg == prev_deg + 1
-            if prev_kernel and not contiguous:
+            if prev_kernel and deg != prev_deg + 1:
                 raise NotAcyclicError(
                     f"nonzero homology at degree {prev_deg}, weight {w}",
                     spot=(prev_deg, w),
                 )
-            lifts = []
-            if contiguous:
-                for target in prev_kernel:
-                    sol = _fp.solve(m, target, p)
-                    if sol is None:
-                        raise NotAcyclicError(
-                            f"nonzero homology at degree {prev_deg}, weight {w}",
-                            spot=(prev_deg, w),
-                        )
-                    lifts.append(sol % p)
-            for sol, target in zip(lifts, prev_kernel):
+            rows, pivots = _fp.rref(np.column_stack([m, *prev_kernel]), p)
+            if pivots and pivots[-1] >= r:
+                raise NotAcyclicError(
+                    f"nonzero homology at degree {prev_deg}, weight {w}",
+                    spot=(prev_deg, w),
+                )
+            lifts = np.zeros((r, len(prev_kernel)), dtype=rows.dtype)
+            lifts[pivots] = rows[:, r:]
+            for sol, target in zip(lifts.T, prev_kernel):
                 pair = (
                     ((deg, w), tuple(int(x) for x in sol)),
                     ((deg - 1, w), tuple(int(x) for x in target)),
@@ -451,19 +451,14 @@ def acyclic_basis(cx: BigradedComplex) -> AcyclicBasis:
                     even_pairs.append(pair)
                 else:
                     odd_pairs.append(pair)
-            if m.shape[0] == 0:
-                kernel = [np.eye(r, dtype=np.int64)[i] for i in range(r)]
-            else:
-                rows, pivots = _fp.rref(m, p)
-                free_cols = [c for c in range(r) if c not in pivots]
-                kernel = []
-                for c in free_cols:
-                    vec = np.zeros(r, dtype=np.int64)
-                    vec[c] = 1
-                    for i, pc in enumerate(pivots):
-                        vec[pc] = (-rows[i, c]) % p
-                    kernel.append(vec)
-            if len(lifts) + len(kernel) != r:
+            kernel = []
+            for c in [c for c in range(r) if c not in pivots]:
+                vec = np.zeros(r, dtype=np.int64)
+                vec[c] = 1
+                for i, pc in enumerate(pivots):
+                    vec[pc] = (-rows[i, c]) % p
+                kernel.append(vec)
+            if len(prev_kernel) + len(kernel) != r:
                 raise NotAcyclicError(
                     f"nonzero homology at degree {deg}, weight {w}",
                     spot=(deg, w),

@@ -527,14 +527,14 @@ def _span_blocks(gens: GeneratorSet, k: int, u: int):
                 if len(rows):
                     spans[deg + gens.degrees[a]].append(_ad(gens, a, k, deg, rows, modulus))
     out = {}
-    for deg, codes in blocks.items():
+    for deg, codes in blocks.items():  # pop each list: one copy of the rows, not two
         if not spans[deg]:
             basis, exps, pivots = np.zeros((0, len(codes)), dtype=_fp.int_dtype(modulus)), (), ()
         elif u == 1:
-            basis, pivots = _fp.rref(np.concatenate(spans[deg]), p)
+            basis, pivots = _fp.rref(np.concatenate(spans.pop(deg)), p)
             exps = (1,) * len(basis)
         else:
-            span = np.concatenate(spans.pop(deg))  # one copy of the rows, not two
+            span = np.concatenate(spans.pop(deg))
             span = span[(span != 0).any(axis=1)]
             *_, vals, ua = _snf_numpy(span, *span.shape, RingSpec(p, u), ())
             exps, pivots = tuple(u - v for v in vals[:len(ua)]), ()

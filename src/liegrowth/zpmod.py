@@ -873,31 +873,43 @@ def kernel_generators(phi: ModuleMorphism):
     return out
 
 
-def injectivity_witness(phi: ModuleMorphism):
-    """A nonzero kernel element, or None when phi is injective."""
-    gens = kernel_generators(phi)
-    return gens[0] if gens else None
+def _image_order(phi: ModuleMorphism, relations: dict, degree: int) -> int:
+    """log_p |Im(phi)| in codomain ``degree``, given the codomain relations
+    of ``free_presentation``.
+
+    Im(phi) is the column span of [A | diag(p^{c_i})] modulo the span of
+    diag(p^{c_i}), so the Smith valuations v of the stacked matrix alone
+    give its order: sum(s - v) - sum(s - c_i).
+    """
+    ring = phi.domain.ring
+    rel = relations.get(degree, ())
+    mat = phi.matrix_at(degree - phi.shift) or ((),) * len(rel)
+    stacked = [list(row) + list(r) for row, r in zip(mat, rel)]
+    *_, vals = smith_normal_form_matrix(stacked, ring, build=())
+    cod_exps = phi.codomain.exponents_at(degree)
+    return sum(ring.s - v for v in vals) - sum(ring.s - c for c in cod_exps)
 
 
 def is_injective(phi: ModuleMorphism) -> bool:
-    return injectivity_witness(phi) is None
+    """Whether phi is injective: in every domain degree the image is as large
+    as the domain, log_p |Im| = sum t_j, so a degree over a zero codomain
+    fails.  Only Smith valuations are computed; ``kernel_generators`` gives
+    the kernel itself."""
+    _, relations = free_presentation(phi.codomain)
+    return all(
+        _image_order(phi, relations, d + phi.shift) == sum(phi.domain.exponents_at(d))
+        for d in phi.domain.degrees()
+    )
 
 
 def is_surjective(phi: ModuleMorphism) -> bool:
-    ring = phi.domain.ring
+    """Whether phi is surjective: in every codomain degree the image is the
+    whole component, log_p |Im| = sum c_i."""
     _, relations = free_presentation(phi.codomain)
-    for d in phi.codomain.degrees():
-        n = phi.codomain.rank_at(d)
-        mat = phi.matrix_at(d - phi.shift)
-        m = phi.domain.rank_at(d - phi.shift)
-        if mat is None:
-            mat = tuple((0,) * m for _ in range(n))
-        rel = relations[d]
-        stacked = [list(mat[i]) + list(rel[i]) for i in range(n)]
-        *_, vals = smith_normal_form_matrix(stacked, ring, build=())
-        if len(vals) < n or any(v != 0 for v in vals):
-            return False
-    return True
+    return all(
+        _image_order(phi, relations, d) == sum(phi.codomain.exponents_at(d))
+        for d in phi.codomain.degrees()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,16 @@ class TestAcyclicBasis:
         basis = acyclic_basis(BigradedComplex(3, (), ()))
         assert basis.all_pairs() == ()
 
+    def test_unliftable_target_names_its_degree(self):
+        # both vectors of the degree-1 block are cycles and d from degree 2
+        # hits exactly one of them, first or second: the homology sits at
+        # degree 1, although the counts at degree 2 disagree too
+        for image in (((1,), (0,)), ((0,), (1,))):
+            cx = BigradedComplex(3, (((1, 2), 2), ((2, 2), 1)), (((2, 2), image),))
+            with pytest.raises(NotAcyclicError) as err:
+                acyclic_basis(cx)
+            assert err.value.spot == (1, 2)
+
     def test_constructed_counterexample_names_spot(self):
         # single block with zero differential: homology everywhere
         cx = BigradedComplex(3, (((4, 2), 1),), ())

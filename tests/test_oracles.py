@@ -458,6 +458,18 @@ class TestLargePrimes:
             mat = [[rng.randrange(BIG_P) for _ in range(4)] for _ in range(4)]
             assert _fp.rank(mat, BIG_P) == python_rank(mat, BIG_P)
 
+    def test_rref_leaves_input_unchanged(self):
+        rng = random.Random(11)
+        for p, dtype in ((3, np.int64), (2 ** 61 - 1, object)):
+            mat = np.array(
+                [[rng.randrange(-2 * p, 2 * p) for _ in range(6)] for _ in range(5)],
+                dtype=dtype,
+            )
+            before = mat.copy()
+            _, pivots = _fp.rref(mat, p)
+            assert len(pivots) == 5
+            assert mat.dtype == before.dtype and np.array_equal(mat, before)
+
     def test_lie_component_u2_matches_reference(self):
         # BIG_P runs on Python ints; at p = 2 not every exponent is u
         for p, u in ((BIG_P, 2), (2, 3), (3, 3)):

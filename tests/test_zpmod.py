@@ -684,24 +684,52 @@ class TestSplitInjection:
 
 class TestKernelMachinery:
     def test_injective_iff_enumeration_agrees(self):
+        # domain degrees 0 and 1 map to codomain degrees shift and 1 + shift;
+        # in every fourth case the domain also has a degree 2 over a zero
+        # codomain, and in another fourth the codomain has a degree 2 + shift
+        # that no domain degree maps to
         rng = random.Random(7)
-        for _ in range(150):
-            ring = RingSpec(3, rng.randint(1, 3))
-            dom = mod(ring, tuple(rng.randint(1, ring.s) for _ in range(rng.randint(1, 2))))
-            cod = mod(ring, tuple(rng.randint(1, ring.s) for _ in range(rng.randint(1, 2))))
-            mat = []
-            for t_i in cod.exponents_at(0):
-                row = []
-                for t_j in dom.exponents_at(0):
-                    step = 3 ** max(t_i - t_j, 0)
-                    row.append(step * rng.randrange(3 ** t_i // step + 1))
-                mat.append(tuple(row))
-            phi = ModuleMorphism.from_dict(dom, cod, {0: tuple(mat)})
-            images = [phi.apply_at(0, c) for c in elements_at(dom, 0)]
-            brute_inj = len(set(images)) == len(images)
-            brute_surj = len(set(images)) == 3 ** sum(cod.exponents_at(0))
+        seen = set()
+        for trial in range(240):
+            p = (2, 3, 5)[trial % 3]
+            ring = RingSpec(p, rng.randint(1, 3 if p < 5 else 2))
+            shift = rng.choice((-1, 0, 1))
+
+            def exps():
+                return tuple(rng.randint(1, ring.s) for _ in range(rng.randint(1, 2)))
+
+            dom_comps = {0: exps(), 1: exps()}
+            cod_comps = {shift: exps(), 1 + shift: exps()}
+            if trial % 4 == 0:
+                dom_comps[2] = exps()
+            elif trial % 4 == 2:
+                cod_comps[2 + shift] = exps()
+            dom = GradedModule.from_dict(ring, dom_comps)
+            cod = GradedModule.from_dict(ring, cod_comps)
+            mats = {
+                d: tuple(
+                    tuple(p ** max(t_i - t_j, 0) * rng.randrange(p ** t_i)
+                          for t_j in dom.exponents_at(d))
+                    for t_i in cod.exponents_at(d + shift)
+                )
+                for d in (0, 1)
+            }
+            phi = ModuleMorphism.from_dict(dom, cod, mats, shift=shift)
+
+            def image_size(d):
+                return len({phi.apply_at(d, c) for c in elements_at(dom, d)})
+
+            brute_inj = all(
+                image_size(d) == p ** sum(dom.exponents_at(d)) for d in dom.degrees()
+            )
+            brute_surj = all(
+                image_size(d - shift) == p ** sum(cod.exponents_at(d))
+                for d in cod.degrees()
+            )
             assert is_injective(phi) == brute_inj
             assert is_surjective(phi) == brute_surj
+            seen.add((brute_inj, brute_surj))
+        assert len(seen) == 4
 
     def test_map_to_zero_module(self):
         phi = ModuleMorphism.zero(mod(R9, (1,)), GradedModule.zero(R9))
