@@ -72,13 +72,8 @@ def cmd_hall(args):
     return payload, csv
 
 
-def _gens_from_args(args):
-    ring = RingSpec(args.p, args.u if args.r is None else args.r)
-    return GeneratorSet.build(_parse_gens(args.gens), ring)
-
-
 def cmd_lie_dims(args):
-    gens = _gens_from_args(args)
+    gens = GeneratorSet.build(_parse_gens(args.gens), RingSpec(args.p, args.u))
     freelie._check_word_guard(gens, args.max_k, args.u)  # refuse before any work
     payload = {"p": args.p, "u": args.u, "gens": args.gens, "weights": []}
     csv = [("k", "degree", "exponents")]
@@ -314,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("lie-dims", cmd_lie_dims, help="weighted commutator-span dimensions")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--u", type=int, default=1, help="coefficient exponent")
-    sp.add_argument("--r", type=int, default=None,
-                    help="ambient exponent (defaults to u)")
     sp.add_argument("--gens", required=True, help="e.g. x:2,y:1")
     sp.add_argument("--max-weight", dest="max_k", type=int, required=True)
 

@@ -35,7 +35,7 @@ from .freelie import (
     tree_degree,
     witt,
 )
-from .zpmod import GradedModule, RingSpec, smith_normal_form_matrix
+from .zpmod import GradedModule, RingSpec, _snf_numpy, smith_normal_form_matrix
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ class HomologyReport:
         return {r.degree: getattr(r, key) for r in self.rows if getattr(r, key)}
 
     def to_json_dict(self) -> dict:
-        if self.rows:
+        if self.cycle_decomposition is None:
             return {
                 "weight": self.weight,
                 "Z": {str(r.degree): r.dim_cycles for r in self.rows},
@@ -213,31 +213,33 @@ def homology(gens: GeneratorSet, spec: DifferentialSpec, k: int, u: int = 1):
 
 
 def _homology_decompositions(gens, spec, k, u):
+    """The cycle and boundary decompositions of homology over Z/p^u.
+
+    In each degree, one Smith form U A V = D of the images A of the span
+    basis rows E gives both answers: the boundaries are the diagonal of D,
+    and the rows c with c A = 0 are generated by the rows of U scaled by
+    p^(u - v), where rows past the diagonal count as v = u and v = 0 drops
+    out.  E rides through that elimination as columns carried past A, so
+    the cycle generators c E come out as the rows p^(u - v) (U E)[j], and
+    no transform is built.
+    """
     ring_u = RingSpec(gens.ring.p, u)
     p, modulus = ring_u.p, ring_u.modulus
     cycle_comps: dict[int, tuple[int, ...]] = {}
     boundary_comps: dict[int, tuple[int, ...]] = {}
     for deg, (_, _, elems, _) in _span_blocks(gens, k, u).items():
-        # One Smith form U A V = D of the images A of the basis rows gives
-        # both answers: the boundaries are the diagonal of D, and the rows c
-        # with c A = 0 are generated by the rows of U scaled by p^(u - v),
-        # where rows past the diagonal count as v = u and v = 0 drops out.
         images = _derive(gens, spec.images, k, deg, elems, modulus)
         img_cols = images[:, (images != 0).any(axis=0)]
-        u_rows, _, _, _, vals = smith_normal_form_matrix(img_cols, ring_u, build=("u",))
+        elem_cols = elems[:, (elems != 0).any(axis=0)]
+        stacked = np.concatenate([img_cols, elem_cols], axis=1)
+        *_, vals, _, ue = _snf_numpy(stacked, len(elems), img_cols.shape[1], ring_u, False)
         boundary_comps[deg - 1] = tuple(u - v for v in vals if v < u)
         vals = vals + [u] * (len(elems) - len(vals))
-        kernel_coeffs = [
-            [p ** (u - v) * x for x in row] for row, v in zip(u_rows, vals) if v
-        ]
-        if kernel_coeffs:
-            terms = len(elems)
-            elem_cols = elems[:, (elems != 0).any(axis=0)]
-            vec_rows = (
-                _fp.residues(kernel_coeffs, modulus, terms)
-                @ _fp.residues(elem_cols, modulus, terms) % modulus
-            )
-            *_, z_vals = smith_normal_form_matrix(vec_rows, ring_u, build=())
+        kept = [j for j, v in enumerate(vals) if v]
+        if kept:
+            scale = np.array([[p ** (u - vals[j])] for j in kept], dtype=ue.dtype)
+            *_, z_vals = smith_normal_form_matrix(ue[kept] * scale % modulus, ring_u,
+                                                  transforms=False)
             cycle_comps[deg] = tuple(u - v for v in z_vals if v < u)
     return HomologyReport(
         k,

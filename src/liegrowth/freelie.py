@@ -209,12 +209,6 @@ class TensorElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        sigs = {
-            (sum(self.gens.degrees[i] for i in w), len(w)) for w, _ in self.terms
-        }
-        return len(sigs) <= 1
-
     @property
     def weight(self):
         return len(self.terms[0][0]) if self.terms else None
@@ -536,7 +530,7 @@ def _span_blocks(gens: GeneratorSet, k: int, u: int):
         else:
             span = np.concatenate(spans.pop(deg))
             span = span[(span != 0).any(axis=1)]
-            *_, vals, ua = _snf_numpy(span, *span.shape, RingSpec(p, u), ())
+            *_, vals, ua, _ = _snf_numpy(span, *span.shape, RingSpec(p, u), False)
             exps, pivots = tuple(u - v for v in vals[:len(ua)]), ()
             basis = _fp.residues(ua, modulus)
         out[deg] = (codes, exps, _frozen(basis), tuple(pivots))

@@ -410,65 +410,60 @@ def _identity(n: int) -> list[list[int]]:
 SNF_NUMPY_ENTRIES = 256
 
 
-SNF_TRANSFORMS = ("u", "uinv", "v", "vinv")
-
-
-def smith_normal_form_matrix(rows, ring: RingSpec, *, build=SNF_TRANSFORMS):
+def smith_normal_form_matrix(rows, ring: RingSpec, *, transforms=True):
     """Diagonalize a matrix over Z/p^s.
 
     ``rows`` is a list of rows or a 2-D numpy array; only an array can
     express a 0 x n matrix, whose V is the n x n identity.  Returns
     (U, Uinv, V, Vinv, vals), as lists of Python ints, with U*A*V = D,
     where D is diagonal with entries p^vals[k] (a valuation of s means the
-    zero class) and the valuations are non-decreasing.  ``build`` names the
-    transforms to compute, out of SNF_TRANSFORMS; the slot of each one left
-    out is None, and the elimination skips every update to it (Storjohann,
-    Algorithms for Matrix Canonical Forms, 2000, builds transforms only on
-    demand).  The pivot rule is fixed: the entry of minimal p-valuation
-    wins, ties broken by smallest row then smallest column, which makes the
-    output deterministic.  Blocks of at least SNF_NUMPY_ENTRIES entries run
-    a numpy kernel, smaller ones a kernel on Python lists; both apply that
-    rule and return the same for every ``build``.
+    zero class) and the valuations are non-decreasing.  With
+    ``transforms=False`` the four matrix slots are None and the elimination
+    skips every update to them (Storjohann, Algorithms for Matrix Canonical
+    Forms, 2000, builds transforms only on demand).  The pivot rule is
+    fixed: the entry of minimal p-valuation wins, ties broken by smallest
+    row then smallest column, which makes the output deterministic.  Blocks
+    of at least SNF_NUMPY_ENTRIES entries run a numpy kernel, smaller ones
+    a kernel on Python lists; both apply that rule and return the same.
     """
-    unknown = set(build) - set(SNF_TRANSFORMS)
-    if unknown:
-        raise InputError(
-            f"unknown transforms {sorted(unknown)}; choose from {SNF_TRANSFORMS}"
-        )
     if isinstance(rows, np.ndarray):
         m, n = rows.shape
     else:
         m = len(rows)
         n = len(rows[0]) if m else 0
     if m * n >= SNF_NUMPY_ENTRIES:
-        return _snf_numpy(rows, m, n, ring, build)[:5]
+        return _snf_numpy(rows, m, n, ring, transforms)[:5]
     rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
-    return _snf_lists(rows, m, n, ring, build)
+    return _snf_lists(rows, m, n, ring, transforms)
 
 
-def _snf_numpy(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
+def _snf_numpy(rows, m: int, n: int, ring: RingSpec, transforms=True):
     """The Smith form of smith_normal_form_matrix, one numpy update per
     elimination, then U*A = D*V^-1 on its rank nonzero rows, whose row i is
-    p^vals[i] V^-1[i].  Row operations touch a[k:, k:] only, as columns
-    before k are zero below the diagonal; column swaps act on every row of
-    a, and column clearing never writes to a, so a[:rank] ends as U*A*P for
-    the column permutation P.  Step k changes column k of U^-1 and row k of
-    V^-1 and only swaps the later ones, so at step k column i > k of U^-1
-    is the unit vector at row_origin[i] (the input row now at i) and row
-    j > k of V^-1 the one at col_origin[j]."""
+    p^vals[i] V^-1[i], and U*C for the columns C of ``rows`` past n.
+
+    Those columns are carried: row operations apply to them, while the
+    pivot search and the column operations stay in the first n columns.
+    Row operations touch a[k:, k:] only, as columns before k are zero below
+    the diagonal; column swaps act on every row of a, and column clearing
+    never writes to a, so a[:rank, :n] ends as U*A*P for the column
+    permutation P.  Step k changes column k of U^-1 and row k of V^-1 and
+    only swaps the later ones, so at step k column i > k of U^-1 is the
+    unit vector at row_origin[i] (the input row now at i) and row j > k of
+    V^-1 the one at col_origin[j]."""
     mod, p, s = ring.modulus, ring.p, ring.s
     # every update is x + c * y on residues, below 2 * mod^2
-    a = _fp.residues(rows, mod, 2).reshape(m, n)
+    a = _fp.residues(rows, mod, 2)
+    a = a.reshape(m, n) if a.ndim < 2 else a  # an empty list has no shape
     u, uinv, v, vinv = (
-        np.eye(size, dtype=a.dtype) if name in build else None
-        for name, size in zip(SNF_TRANSFORMS, (m, m, n, n))
+        np.eye(size, dtype=a.dtype) if transforms else None for size in (m, m, n, n)
     )
     row_origin, col_origin = np.arange(m), np.arange(n)
     vals: list[int] = []
     for k in range(min(m, n)):
         # the entries of valuation <= val are those not divisible by p^(val+1)
         for val in range(s):
-            found = a[k:, k:] % p ** (val + 1) != 0
+            found = a[k:, k:n] % p ** (val + 1) != 0
             if found.any():
                 break
         else:
@@ -477,25 +472,22 @@ def _snf_numpy(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
         bi, bj = bi + k, bj + k
         if bi != k:
             a[[k, bi], k:] = a[[bi, k], k:]
-            if u is not None:
+            if transforms:
                 u[[k, bi]] = u[[bi, k]]
-            if uinv is not None:
                 uinv[:, [k, bi]] = uinv[:, [bi, k]]
             row_origin[[k, bi]] = row_origin[[bi, k]]
         if bj != k:
             a[:, [k, bj]] = a[:, [bj, k]]
-            if v is not None:
+            if transforms:
                 v[:, [k, bj]] = v[:, [bj, k]]
-            if vinv is not None:
                 vinv[[k, bj]] = vinv[[bj, k]]
             col_origin[[k, bj]] = col_origin[[bj, k]]
         pivot = p ** val
         unit = int(a[k, k]) // pivot
         inv = ring.unit_inverse(unit)
         a[k, k:] = a[k, k:] * inv % mod
-        if u is not None:
+        if transforms:
             u[k] = u[k] * inv % mod
-        if uinv is not None:
             uinv[:, k] = uinv[:, k] * unit % mod
         # row_i += c_i row_k clears column k below the pivot, for the rows i
         # with a nonzero entry there; U^-1 absorbs all of them in column k.
@@ -504,28 +496,26 @@ def _snf_numpy(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
         if below.size:
             c = -(a[below, k] // pivot) % mod
             a[below, k:] = (a[below, k:] + np.outer(c, a[k, k:])) % mod
-            if u is not None:
+            if transforms:
                 support = np.flatnonzero(u[k])
                 block = np.ix_(below, support)
                 u[block] = (u[block] + np.outer(c, u[k, support])) % mod
-            if uinv is not None:
                 hit = row_origin[below]
                 uinv[hit, k] = (uinv[hit, k] - c) % mod
         # col_j += d_j col_k clears row k right of the pivot; V^-1 absorbs
         # all of them in its row k.  Only row k of a changes, and it is done.
-        right = k + 1 + np.flatnonzero(a[k, k + 1:])
-        if right.size:
+        if transforms:
+            right = k + 1 + np.flatnonzero(a[k, k + 1:n])
             d = -(a[k, right] // pivot) % mod
-            if v is not None:
-                support = np.flatnonzero(v[:, k])
-                block = np.ix_(support, right)
-                v[block] = (v[block] + np.outer(v[support, k], d)) % mod
-            if vinv is not None:
-                hit = col_origin[right]
-                vinv[k, hit] = (vinv[k, hit] - d) % mod
+            support = np.flatnonzero(v[:, k])
+            block = np.ix_(support, right)
+            v[block] = (v[block] + np.outer(v[support, k], d)) % mod
+            hit = col_origin[right]
+            vinv[k, hit] = (vinv[k, hit] - d) % mod
         vals.append(val)
-    ua = np.empty_like(a[:len(vals)])
-    ua[:, col_origin] = a[:len(vals)]
+    ua = np.empty_like(a[:len(vals), :n])
+    ua[:, col_origin] = a[:len(vals), :n]
+    carried = a[:, n:].copy()
     vals.extend([s] * (min(m, n) - len(vals)))
     # dropping each array once its list is built keeps the peak at the lists
     # plus one array
@@ -534,51 +524,44 @@ def _snf_numpy(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
     for i in range(4):
         if mats[i] is not None:
             mats[i] = mats[i].tolist()
-    return (*mats, vals, ua)
+    return (*mats, vals, ua, carried)
 
 
-def _snf_lists(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
+def _snf_lists(rows, m: int, n: int, ring: RingSpec, transforms=True):
     """The Smith form of smith_normal_form_matrix on Python lists."""
     mod, p, s = ring.modulus, ring.p, ring.s
     a = [[int(x) % mod for x in row] for row in rows]
-    u, uinv, v, vinv = (
-        _identity(size) if name in build else None
-        for name, size in zip(SNF_TRANSFORMS, (m, m, n, n))
-    )
+    u, uinv, v, vinv = (_identity(size) if transforms else None for size in (m, m, n, n))
     vals: list[int] = []
 
     def swap_rows(i, k):
         a[i], a[k] = a[k], a[i]
-        if u is not None:
+        if transforms:
             u[i], u[k] = u[k], u[i]
-        if uinv is not None:
             for r in uinv:
                 r[i], r[k] = r[k], r[i]
 
     def swap_cols(j, l):
         for r in a:
             r[j], r[l] = r[l], r[j]
-        if v is not None:
+        if transforms:
             for r in v:
                 r[j], r[l] = r[l], r[j]
-        if vinv is not None:
             vinv[j], vinv[l] = vinv[l], vinv[j]
 
     def scale_row(k, unit):
         inv = ring.unit_inverse(unit)
         a[k] = [x * inv % mod for x in a[k]]
-        if u is not None:
+        if transforms:
             u[k] = [x * inv % mod for x in u[k]]
-        if uinv is not None:
             for r in uinv:
                 r[k] = r[k] * unit % mod
 
     def add_row(k, i, c):
         # row_k += c * row_i
         a[k] = [(x + c * y) % mod for x, y in zip(a[k], a[i])]
-        if u is not None:
+        if transforms:
             u[k] = [(x + c * y) % mod for x, y in zip(u[k], u[i])]
-        if uinv is not None:
             for r in uinv:
                 r[i] = (r[i] - c * r[k]) % mod
 
@@ -586,10 +569,9 @@ def _snf_lists(rows, m: int, n: int, ring: RingSpec, build=SNF_TRANSFORMS):
         # col_l += c * col_j
         for r in a:
             r[l] = (r[l] + c * r[j]) % mod
-        if v is not None:
+        if transforms:
             for r in v:
                 r[l] = (r[l] + c * r[j]) % mod
-        if vinv is not None:
             vinv[j] = [(x - c * y) % mod for x, y in zip(vinv[j], vinv[l])]
 
     for k in range(min(m, n)):
@@ -726,7 +708,7 @@ def image_dims(phi: ModuleMorphism) -> GradedModule:
     ring = phi.domain.ring
     comps: dict[int, tuple[int, ...]] = {}
     for d, mat in phi.matrices:
-        *_, vals = smith_normal_form_matrix(mat, ring, build=())
+        *_, vals = smith_normal_form_matrix(mat, ring, transforms=False)
         exps = tuple(ring.s - v for v in vals if v < ring.s)
         if exps:
             comps[d + phi.shift] = exps
@@ -836,7 +818,9 @@ def kernel_generators(phi: ModuleMorphism):
 
     Works for arbitrary (non-free) domain and codomain by solving
     A*x = 0 modulo the codomain generator orders via one Smith form of the
-    stacked matrix [A | diag(p^{t_i})].
+    stacked matrix [A | diag(p^{t_i})]: the generators are columns of its
+    V scaled by p^(s - v).  This is the one reader of the column transform
+    V; ``is_injective`` needs only the Smith valuations.
     """
     ring = phi.domain.ring
     p, s = ring.p, ring.s
@@ -855,7 +839,7 @@ def kernel_generators(phi: ModuleMorphism):
         mat = phi.matrix_at(d)
         rel = relations[d + phi.shift]
         stacked = [list(mat[i]) + list(rel[i]) for i in range(n)]
-        _, _, v, _, vals = smith_normal_form_matrix(stacked, ring, build=("v",))
+        _, _, v, _, vals = smith_normal_form_matrix(stacked, ring)
         width = m + n
         for k in range(width):
             if k < len(vals):
@@ -885,7 +869,7 @@ def _image_order(phi: ModuleMorphism, relations: dict, degree: int) -> int:
     rel = relations.get(degree, ())
     mat = phi.matrix_at(degree - phi.shift) or ((),) * len(rel)
     stacked = [list(row) + list(r) for row, r in zip(mat, rel)]
-    *_, vals = smith_normal_form_matrix(stacked, ring, build=())
+    *_, vals = smith_normal_form_matrix(stacked, ring, transforms=False)
     cod_exps = phi.codomain.exponents_at(degree)
     return sum(ring.s - v for v in vals) - sum(ring.s - c for c in cod_exps)
 

@@ -221,10 +221,10 @@ class TestExitCodes:
                 f"resource guard: the widest degree block of weight {argv[-1]} has "
                 f"{words} words, above the guard of 16384; this guard has no override\n"
             )
-        # a coefficient exponent above the ring's is still invalid input first
-        code, _, err = run_cli(["lie-dims", "--p", "3", "--u", "2", "--r", "1",
+        # an invalid coefficient exponent is still invalid input first
+        code, _, err = run_cli(["lie-dims", "--p", "3", "--u", "0",
                                 "--gens", "x:1,y:1", "--max-weight", "30"])
-        assert code == 2 and "coefficient exponent 2 outside [1, 1]" in err
+        assert code == 2 and "s must be >= 1, got 0" in err
 
     def test_weight_27_cycles_need_no_flag(self):
         code, out, _ = run_cli(["tau-sigma", "--p", "3", "--k", "3"])

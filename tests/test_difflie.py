@@ -286,6 +286,13 @@ class TestHomology:
         assert data["weight"] == 3
         assert data["H"] == {"4": 1, "5": 1}
 
+    def test_json_of_an_empty_weight(self):
+        # [x, x] = 0 for an even x, so weight 2 has no rows over F_3
+        gens = GeneratorSet.build([("x", 2)], RingSpec(3, 1))
+        spec = DifferentialSpec(gens, (FreeNAElement.zero(gens),))
+        data = homology(gens, spec, 2).to_json_dict()
+        assert data == {"weight": 2, "Z": {}, "B": {}, "H": {}}
+
     def test_decompositions_at_higher_exponent(self):
         gens, spec = differential_pair(3, 2, r=2)
         report = homology(gens, spec, 2, u=2)

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -18,7 +17,6 @@ from liegrowth.errors import (
 from liegrowth import _fp
 from liegrowth.zpmod import (
     SNF_NUMPY_ENTRIES,
-    SNF_TRANSFORMS,
     BasisChange,
     DirectSumSplit,
     GradedModule,
@@ -523,10 +521,24 @@ def assert_rows_are_scaled_vinv(rows, expected, ring):
     assert rows.tolist() == scaled
 
 
+def assert_carried_is_u_times(carried, u, c, ring):
+    """The numpy kernel's carried block is U*C mod p^s, for the list
+    kernel's U and a 2-D array C."""
+    cols = c.T.tolist()
+    product = [[sum(x * y for x, y in zip(row, col)) % ring.modulus for col in cols]
+               for row in u]
+    assert carried.shape == c.shape
+    assert carried.tolist() == product
+
+
+def without_transforms(expected):
+    return (None,) * 4 + (expected[4],)
+
+
 class TestSmithKernels:
     @settings(max_examples=150, deadline=None)
-    @given(snf_kernel_cases(), st.sets(st.sampled_from(SNF_TRANSFORMS)))
-    def test_numpy_kernel_matches_list_kernel(self, case, build):
+    @given(snf_kernel_cases(), st.booleans(), st.integers(0, 3), st.integers(0, 2 ** 32))
+    def test_numpy_kernel_matches_list_kernel(self, case, transforms, carry, seed):
         ring, a = case
         m, n = a.shape
         expected = _snf_lists(a.tolist(), m, n, ring)
@@ -536,17 +548,18 @@ class TestSmithKernels:
         assert smith_normal_form_matrix(a, ring) == expected
         if m:
             assert smith_normal_form_matrix(a.tolist(), ring) == expected
-        # a request gets the full run's valuations and the transforms it
-        # names; the other slots are None
-        requested = tuple(
-            mat if name in build else None
-            for name, mat in zip(SNF_TRANSFORMS, expected[:4])
-        ) + (expected[4],)
-        assert _snf_lists(a.tolist(), m, n, ring, build) == requested
-        result = _snf_numpy(a, m, n, ring, build)
+        # without transforms a run gets the full run's valuations and None
+        # in the four matrix slots; carried columns C come back as U*C
+        requested = expected if transforms else without_transforms(expected)
+        assert _snf_lists(a.tolist(), m, n, ring, transforms) == requested
+        rng = random.Random(seed)
+        c = np.array([[rng.randrange(ring.modulus) for _ in range(carry)] for _ in range(m)],
+                     dtype=np.int64).reshape(m, carry)
+        result = _snf_numpy(np.concatenate([a, c], axis=1), m, n, ring, transforms)
         assert result[:5] == requested
         assert_rows_are_scaled_vinv(result[5], expected, ring)
-        assert smith_normal_form_matrix(a, ring, build=build) == requested
+        assert_carried_is_u_times(result[6], expected[0], c, ring)
+        assert smith_normal_form_matrix(a, ring, transforms=transforms) == requested
 
     def test_object_dtype_path(self):
         # p^2 overflows int64, so the numpy kernel runs on Python ints
@@ -561,29 +574,26 @@ class TestSmithKernels:
         assert_rows_are_scaled_vinv(result[5], expected, ring)
         assert smith_normal_form_matrix(np.array(a, dtype=object), ring) == expected
         assert all(type(x) is int for x in expected[3][0])
-        for size in range(len(SNF_TRANSFORMS) + 1):
-            for build in itertools.combinations(SNF_TRANSFORMS, size):
-                requested = tuple(
-                    mat if name in build else None
-                    for name, mat in zip(SNF_TRANSFORMS, expected[:4])
-                ) + (expected[4],)
-                assert _snf_lists(a, 30, 30, ring, build) == requested
-                result = _snf_numpy(a, 30, 30, ring, build)
-                assert result[:5] == requested
-                assert_rows_are_scaled_vinv(result[5], expected, ring)
+        c = np.array([[rng.randrange(ring.modulus) for _ in range(2)] for _ in range(30)],
+                     dtype=object)
+        for transforms in (True, False):
+            requested = expected if transforms else without_transforms(expected)
+            assert _snf_lists(a, 30, 30, ring, transforms) == requested
+            result = _snf_numpy([row + extra for row, extra in zip(a, c.tolist())], 30, 30,
+                                ring, transforms)
+            assert result[:5] == requested
+            assert_rows_are_scaled_vinv(result[5], expected, ring)
+            assert_carried_is_u_times(result[6], expected[0], c, ring)
+            assert all(type(x) is int for x in result[6][0])
 
     def test_zero_rows_array(self):
         for n in (0, 3, SNF_NUMPY_ENTRIES + 1):
             u, uinv, v, vinv, vals = smith_normal_form_matrix(np.zeros((0, n)), R9)
             assert u == uinv == [] and vals == []
             assert v == vinv == [[int(i == j) for j in range(n)] for i in range(n)]
-            assert smith_normal_form_matrix(np.zeros((0, n)), R9, build=("v",)) == (
-                None, None, v, None, []
+            assert smith_normal_form_matrix(np.zeros((0, n)), R9, transforms=False) == (
+                None, None, None, None, []
             )
-
-    def test_unknown_transform_is_rejected(self):
-        with pytest.raises(InputError, match="unknown transforms"):
-            smith_normal_form_matrix([[1]], R9, build=("w",))
 
 
 class TestBasisChange:
