@@ -35,7 +35,7 @@ from .freelie import (
     tree_degree,
     witt,
 )
-from .zpmod import GradedModule, RingSpec, _snf_numpy, smith_normal_form_matrix
+from .zpmod import GradedModule, RingSpec, _at, _snf_numpy, smith_normal_form_matrix
 
 
 @dataclass(frozen=True)
@@ -348,10 +348,10 @@ class BigradedComplex:
                 raise InputError(f"d*d is nonzero at {(deg, w)}")
 
     def rank_at(self, degree: int, weight: int) -> int:
-        return dict(self.ranks).get((degree, weight), 0)
+        return _at(self.ranks, (degree, weight), 0)
 
     def diff_at(self, degree: int, weight: int):
-        return dict(self.differentials).get((degree, weight))
+        return _at(self.differentials, (degree, weight))
 
     def weights(self):
         return sorted({w for (_, w), r in self.ranks if r})
@@ -492,29 +492,17 @@ def weighted_dim(dims_by_weight, k: int) -> Fraction:
 
 
 def _check_acyclic_generators(gens: GeneratorSet, spec: DifferentialSpec):
-    """The generator module itself must be exact under d, over F_p."""
-    p = gens.ring.p
-    degs = sorted(set(gens.degrees))
-    slots = {d: [i for i in range(gens.n) if gens.degrees[i] == d] for d in degs}
-    ranks = {}
-    for d in degs:
-        below = slots.get(d - 1, [])
-        if not below:
-            ranks[d] = 0
-            continue
-        rows = []
-        for i in slots[d]:
-            vec = [0] * len(below)
-            for leaf, c in spec.images[i].terms:
-                vec[below.index(leaf)] = c % p
-            rows.append(vec)
-        ranks[d] = _fp.rank(np.array(rows, dtype=np.int64), p) if rows else 0
-    for d in degs:
-        kernel = len(slots[d]) - ranks.get(d, 0)
-        image_from_above = ranks.get(d + 1, 0)
-        if kernel != image_from_above:
+    """The generator module itself must be exact under d, over F_p.
+
+    It is the weight-1 commutator span, so this reads the weight-1 homology
+    (cached with the other weights) and refuses its lowest degree with
+    nonzero homology.
+    """
+    for row in homology(gens, spec, 1).rows:
+        if row.dim_homology:
             raise NotAcyclicError(
-                f"generator module is not acyclic at degree {d}", spot=(d, 1)
+                f"generator module is not acyclic at degree {row.degree}",
+                spot=(row.degree, 1),
             )
 
 

@@ -63,9 +63,6 @@ class GeneratorSet:
     def index(self, name: str) -> int:
         return self.names.index(name)
 
-    def parity(self, i: int) -> int:
-        return self.degrees[i] % 2
-
 
 # ---------------------------------------------------------------------------
 # Bracketing trees

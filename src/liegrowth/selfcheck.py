@@ -116,6 +116,15 @@ def random_morphism(rng, dom: GradedModule, cod: GradedModule) -> ModuleMorphism
     return ModuleMorphism.from_dict(dom, cod, mats)
 
 
+def _exact_log(n: int, p: int) -> int:
+    """The e with p^e = n, for n a power of p, by repeated division."""
+    e = 0
+    while n > 1:
+        n //= p
+        e += 1
+    return e
+
+
 def structure_from_elements(group, ring: RingSpec, orders):
     """Exponent multiset of an already-closed subgroup, from torsion counts.
 
@@ -129,7 +138,7 @@ def structure_from_elements(group, ring: RingSpec, orders):
         counts.append(
             sum(1 for g in group if all(x * q % o == 0 for x, o in zip(g, orders)))
         )
-    logs = [round(math.log(c, p)) if c > 1 else 0 for c in counts]
+    logs = [_exact_log(c, p) for c in counts]
     deltas = [logs[t] - logs[t - 1] for t in range(1, s + 1)]
     exps = []
     for t in range(1, s + 1):
@@ -515,7 +524,7 @@ def check_tor(p: int = 3, max_s: int = 4, oracle_max_s: int = 3):
                     kernel = {x for x in range(q) if x * p ** t % q == 0}
                     image = {x * p ** (s - t) % q for x in range(q)}
                     size = len(kernel) // len(image)
-                    e = round(math.log(size, p)) if size > 1 else 0
+                    e = _exact_log(size, p)
                     got = tor(
                         GradedModule.single(ring, (t,)),
                         GradedModule.single(ring, (u,)),

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,6 +90,14 @@ class RingSpec:
 Components = tuple[tuple[int, tuple[int, ...]], ...]
 
 
+def _at(pairs, key, default=None):
+    """The value paired with ``key`` in a sequence of (key, value) pairs."""
+    for k, value in pairs:
+        if k == key:
+            return value
+    return default
+
+
 @dataclass(frozen=True)
 class GradedModule:
     """Finitely generated Z/p^s-module, one exponent multiset per degree."""
@@ -133,10 +142,7 @@ class GradedModule:
         return tuple(d for d, _ in self.components)
 
     def exponents_at(self, degree: int) -> tuple[int, ...]:
-        for d, exps in self.components:
-            if d == degree:
-                return exps
-        return ()
+        return _at(self.components, degree, ())
 
     def orders_at(self, degree: int) -> tuple[int, ...]:
         return tuple(self.ring.p ** t for t in self.exponents_at(degree))
@@ -235,10 +241,13 @@ Matrix = tuple[tuple[int, ...], ...]
 
 
 def _reduce_rows(matrix, cod_orders) -> Matrix:
-    return tuple(
-        tuple(int(x) % order for x in row)
-        for row, order in zip(matrix, cod_orders)
-    )
+    try:
+        return tuple(
+            tuple(operator.index(x) % order for x in row)
+            for row, order in zip(matrix, cod_orders)
+        )
+    except TypeError as exc:
+        raise InputError(f"matrix entries must be integers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -314,10 +323,7 @@ class ModuleMorphism:
         return cls(domain, codomain, (), shift)
 
     def matrix_at(self, degree: int):
-        for d, m in self.matrices:
-            if d == degree:
-                return m
-        return None
+        return _at(self.matrices, degree)
 
     def apply_at(self, degree: int, coords):
         """Image of a coordinate tuple at the given domain degree."""
@@ -634,22 +640,13 @@ class BasisChange:
                 )
 
     def matrix_at(self, degree: int):
-        for d, (mat, _) in self.blocks:
-            if d == degree:
-                return mat
-        return None
+        return _at(self.blocks, degree, (None, None))[0]
 
     def inverse_at(self, degree: int):
-        for d, (_, inv) in self.blocks:
-            if d == degree:
-                return inv
-        return None
+        return _at(self.blocks, degree, (None, None))[1]
 
     def exponents_at(self, degree: int):
-        for d, exps in self.exponents:
-            if d == degree:
-                return exps
-        return None
+        return _at(self.exponents, degree)
 
 
 @dataclass(frozen=True)
@@ -665,10 +662,7 @@ class SNFResult:
     diagonal: tuple[tuple[int, tuple[int, ...]], ...]
 
     def valuations_at(self, degree: int):
-        for d, vals in self.diagonal:
-            if d == degree:
-                return vals
-        return None
+        return _at(self.diagonal, degree)
 
 
 def _require_free(module: GradedModule, which: str):
@@ -759,23 +753,18 @@ def split_injection_normalize(phi: ModuleMorphism) -> BasisChange:
             # Replace basis vector at the pivot with y: this is a unit scaling
             # followed by transvections from lower-or-equal-order generators,
             # so the result is again a basis.
-            unit_inv = ring.unit_inverse(cur[pivot])
-            new_basis = [row[:] for row in basis]
             for i in range(n):
-                new_basis[i][pivot] = y[i] % mod
-            # basis_inv update: B_new = B * E with E = I except column pivot = cur
-            # so B_new^{-1} = E^{-1} * B^{-1}.
-            einv_col = [(-c * unit_inv) % mod for c in cur]
-            einv_col[pivot] = unit_inv
-            new_inv = [row[:] for row in basis_inv]
-            for jj in range(n):
-                acc = basis_inv[pivot][jj] % mod
-                for i in range(n):
-                    if i == pivot:
-                        new_inv[i][jj] = acc * unit_inv % mod
-                    else:
-                        new_inv[i][jj] = (basis_inv[i][jj] - cur[i] * unit_inv * acc) % mod
-            basis, basis_inv = new_basis, new_inv
+                basis[i][pivot] = y[i] % mod
+            # B_new = B * E with E = I except column pivot = cur, so
+            # B_new^{-1} = E^{-1} * B^{-1}: row pivot scales by 1/cur[pivot]
+            # and every other row i loses cur[i] times the scaled row.
+            unit_inv = ring.unit_inverse(cur[pivot])
+            scaled = basis_inv[pivot] = [x * unit_inv % mod for x in basis_inv[pivot]]
+            for i in range(n):
+                if i != pivot and cur[i]:
+                    basis_inv[i] = [
+                        (x - cur[i] * z) % mod for x, z in zip(basis_inv[i], scaled)
+                    ]
             if pivot != j:
                 for row in basis:
                     row[j], row[pivot] = row[pivot], row[j]
@@ -796,7 +785,7 @@ def free_presentation(module: GradedModule):
 
     Generators are the summands; the relations are p^{t_i} times each
     generator.  Returns (free module, {degree: diagonal relation matrix}).
-    This is the convention every solver in this module stacks with.
+    ``kernel_generators`` stacks its matrices with these relations.
     """
     ring = module.ring
     cover = GradedModule(
@@ -857,20 +846,23 @@ def kernel_generators(phi: ModuleMorphism):
     return out
 
 
-def _image_order(phi: ModuleMorphism, relations: dict, degree: int) -> int:
-    """log_p |Im(phi)| in codomain ``degree``, given the codomain relations
-    of ``free_presentation``.
+def _image_order(phi: ModuleMorphism, degree: int) -> int:
+    """log_p |Im(phi)| in codomain ``degree``, with codomain orders p^{c_i}.
 
-    Im(phi) is the column span of [A | diag(p^{c_i})] modulo the span of
-    diag(p^{c_i}), so the Smith valuations v of the stacked matrix alone
-    give its order: sum(s - v) - sum(s - c_i).
+    Im(phi) is the column span of [A | p^{c_i} e_i] modulo the span of the
+    p^{c_i} e_i, so the Smith valuations v of the stacked matrix alone give
+    its order: sum(s - v) - sum(s - c_i).  A column with c_i = s is zero mod
+    p^s and would only add a valuation s, which adds nothing, so only the
+    columns with c_i < s are stacked.
     """
     ring = phi.domain.ring
-    rel = relations.get(degree, ())
-    mat = phi.matrix_at(degree - phi.shift) or ((),) * len(rel)
-    stacked = [list(row) + list(r) for row, r in zip(mat, rel)]
-    *_, vals = smith_normal_form_matrix(stacked, ring, transforms=False)
     cod_exps = phi.codomain.exponents_at(degree)
+    mat = phi.matrix_at(degree - phi.shift) or ((),) * len(cod_exps)
+    torsion = [(i, ring.p ** c) for i, c in enumerate(cod_exps) if c < ring.s]
+    stacked = [
+        list(row) + [q if i == t else 0 for t, q in torsion] for i, row in enumerate(mat)
+    ]
+    *_, vals = smith_normal_form_matrix(stacked, ring, transforms=False)
     return sum(ring.s - v for v in vals) - sum(ring.s - c for c in cod_exps)
 
 
@@ -879,21 +871,16 @@ def is_injective(phi: ModuleMorphism) -> bool:
     as the domain, log_p |Im| = sum t_j, so a degree over a zero codomain
     fails.  Only Smith valuations are computed; ``kernel_generators`` gives
     the kernel itself."""
-    _, relations = free_presentation(phi.codomain)
     return all(
-        _image_order(phi, relations, d + phi.shift) == sum(phi.domain.exponents_at(d))
-        for d in phi.domain.degrees()
+        _image_order(phi, d + phi.shift) == sum(exps)
+        for d, exps in phi.domain.components
     )
 
 
 def is_surjective(phi: ModuleMorphism) -> bool:
     """Whether phi is surjective: in every codomain degree the image is the
     whole component, log_p |Im| = sum c_i."""
-    _, relations = free_presentation(phi.codomain)
-    return all(
-        _image_order(phi, relations, d) == sum(phi.codomain.exponents_at(d))
-        for d in phi.codomain.degrees()
-    )
+    return all(_image_order(phi, d) == sum(exps) for d, exps in phi.codomain.components)
 
 
 # ---------------------------------------------------------------------------
@@ -933,20 +920,13 @@ class DirectSumSplit:
         )
         object.__setattr__(self, "_a_slots", tuple(slots))
 
-    def _slots_at(self, degree):
-        for d, sl in self._a_slots:
-            if d == degree:
-                return sl
-        return ()
-
     def include_a(self) -> ModuleMorphism:
         mats = {}
         for d, _ in self.a.components:
-            slots = self._slots_at(d)
+            slots = _at(self._a_slots, d, ())
             n = self.module.rank_at(d)
             mats[d] = tuple(
-                tuple(1 if (i in slots and slots.index(i) == j) else 0
-                      for j in range(len(slots)))
+                tuple(1 if slots[j] == i else 0 for j in range(len(slots)))
                 for i in range(n)
             )
         return ModuleMorphism.from_dict(self.a, self.module, mats)
@@ -954,7 +934,7 @@ class DirectSumSplit:
     def project_a(self) -> ModuleMorphism:
         mats = {}
         for d, _ in self.a.components:
-            slots = self._slots_at(d)
+            slots = _at(self._a_slots, d, ())
             n = self.module.rank_at(d)
             mats[d] = tuple(
                 tuple(1 if slots[i] == j else 0 for j in range(n))

@@ -420,6 +420,17 @@ class TestInequalities:
         with pytest.raises(NotAcyclicError):
             check_weight_inequalities(gens, spec, 2)
 
+    @pytest.mark.parametrize("check", [check_weight_inequalities, boundary_growth])
+    def test_non_acyclic_generators_name_their_spot(self, check):
+        # d(a) = b cancels degrees 1 and 2; c alone in degree 4 is homology
+        ring = RingSpec(3, 1)
+        gens = GeneratorSet.build([("a", 2), ("b", 1), ("c", 4)], ring)
+        zero = FreeNAElement.zero(gens)
+        spec = DifferentialSpec(gens, (FreeNAElement.generator(gens, "b"), zero, zero))
+        with pytest.raises(NotAcyclicError) as err:
+            check(gens, spec, 2)
+        assert err.value.spot == (4, 1)
+
 
 class TestBoundaryGrowth:
     def test_small_case_value(self, pair3):

@@ -15,6 +15,7 @@ from liegrowth.errors import (
     UnsupportedInputError,
 )
 from liegrowth import _fp
+from liegrowth.difflie import BigradedComplex
 from liegrowth.zpmod import (
     SNF_NUMPY_ENTRIES,
     BasisChange,
@@ -22,6 +23,7 @@ from liegrowth.zpmod import (
     GradedModule,
     ModuleMorphism,
     RingSpec,
+    SNFResult,
     compose,
     dim_of,
     elements_at,
@@ -323,6 +325,21 @@ class TestMorphism:
     def test_json_round_trip(self):
         phi = ModuleMorphism.from_dict(mod(R9, (2, 1)), mod(R9, (2,)), {0: ((1, 3),)})
         assert ModuleMorphism.from_json_dict(phi.to_json_dict()) == phi
+
+    @pytest.mark.parametrize("entry", [1.5, 4.0, "4"])
+    def test_non_integer_entries_are_rejected(self, entry):
+        dom, cod = mod(R9, (2,)), mod(R9, (2,))
+        with pytest.raises(InputError, match="integers"):
+            ModuleMorphism.from_dict(dom, cod, {0: ((entry,),)})
+        data = ModuleMorphism.identity(dom).to_json_dict()
+        data["matrices"]["0"] = [[entry]]
+        with pytest.raises(InputError, match="integers"):
+            ModuleMorphism.from_json_dict(data)
+
+    def test_numpy_integer_entries_are_accepted(self):
+        phi = ModuleMorphism.from_dict(mod(R9, (2,)), mod(R9, (2,)), {0: ((np.int64(4),),)})
+        assert phi.matrix_at(0) == ((4,),)
+        assert type(phi.matrix_at(0)[0][0]) is int
 
 
 @st.composite
@@ -908,3 +925,29 @@ class TestTensorMorphism:
             found += 1
             for t in (1, 2):
                 assert is_injective(tensor_morphism(phi, t))
+
+
+_ONE = ((1,),)
+_ACCESSORS = [
+    # (object, accessor, a present key, its value, the default for a missing key)
+    (mod(R9, (2, 1)), "exponents_at", (0,), (2, 1), ()),
+    (ModuleMorphism.identity(mod(R9, (2,))), "matrix_at", (0,), _ONE, None),
+    (BasisChange(R9, ((0, (_ONE, _ONE)),), ((0, (2,)),)), "matrix_at", (0,), _ONE, None),
+    (BasisChange(R9, ((0, (((2,),), ((5,),))),)), "inverse_at", (0,), ((5,),), None),
+    (BasisChange(R9, ((0, (_ONE, _ONE)),), ((0, (2,)),)), "exponents_at", (0,), (2,), None),
+    (SNFResult(BasisChange(R9, ()), BasisChange(R9, ()), ((0, (0, 2)),)),
+     "valuations_at", (0,), (0, 2), None),
+    (BigradedComplex(3, (((1, 1), 1),), ()), "rank_at", (1, 1), 1, 0),
+    (BigradedComplex(3, (((1, 1), 1), ((2, 1), 1)), (((2, 1), ((0,),)),)),
+     "diff_at", (2, 1), ((0,),), None),
+]
+
+
+@pytest.mark.parametrize(
+    "obj, accessor, key, value, default", _ACCESSORS,
+    ids=[f"{type(obj).__name__}.{name}" for obj, name, *_ in _ACCESSORS],
+)
+def test_accessor_default_for_a_missing_degree(obj, accessor, key, value, default):
+    read = getattr(obj, accessor)
+    assert read(*key) == value
+    assert read(5, *key[1:]) == default
