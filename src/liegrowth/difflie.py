@@ -29,6 +29,7 @@ from .freelie import (
     FreeNAElement,
     GeneratorSet,
     TensorElement,
+    _check_word_guard,
     _derive,
     _span_blocks,
     bracket,
@@ -232,7 +233,7 @@ def _homology_decompositions(gens, spec, k, u):
         img_cols = images[:, (images != 0).any(axis=0)]
         elem_cols = elems[:, (elems != 0).any(axis=0)]
         stacked = np.concatenate([img_cols, elem_cols], axis=1)
-        *_, vals, _, ue = _snf_numpy(stacked, len(elems), img_cols.shape[1], ring_u, False)
+        vals, _, ue, *_ = _snf_numpy(stacked, len(elems), img_cols.shape[1], ring_u)
         boundary_comps[deg - 1] = tuple(u - v for v in vals if v < u)
         vals = vals + [u] * (len(elems) - len(vals))
         kept = [j for j, v in enumerate(vals) if v]
@@ -524,6 +525,7 @@ def check_weight_inequalities(gens: GeneratorSet, spec: DifferentialSpec,
     dim^k(B) > (p-1)/(2p) * dim^k(L), over F_p, for an acyclic generator
     module.  No tolerances: Fractions all the way.
     """
+    _check_word_guard(gens, max_k, 1)
     _check_acyclic_generators(gens, spec)
     p = gens.ring.p
     l_dims, h_dims, b_dims = {}, {}, {}
@@ -572,11 +574,12 @@ def boundary_growth(gens: GeneratorSet, spec: DifferentialSpec, max_k: int):
     ell = gens.n
     if ell < 2:
         raise PreconditionError("total dimension of the generator module must be >= 2")
-    _check_acyclic_generators(gens, spec)
-    p = gens.ring.p
     n = max(gens.degrees)
     top_degree = n * max_k
     max_weight = top_degree // min(gens.degrees)
+    _check_word_guard(gens, max_weight, 1)
+    _check_acyclic_generators(gens, spec)
+    p = gens.ring.p
     boundaries: dict[int, int] = {}
     for w in range(1, max_weight + 1):
         report = homology(gens, spec, w)

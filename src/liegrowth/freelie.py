@@ -28,7 +28,7 @@ from .errors import (
     InvalidExponentError,
     ResourceGuardError,
 )
-from .zpmod import GradedModule, RingSpec, _snf_numpy
+from .zpmod import GradedModule, RingSpec, _index, _snf_numpy
 
 WORD_GUARD = 2 ** 20  # n^k above this is refused
 BLOCK_GUARD = 2 ** 14  # a (weight, degree) block wider than this is refused
@@ -251,7 +251,7 @@ class TensorElement:
         return cls(
             gens,
             tuple(
-                (tuple(gens.index(n) for n in item["word"]), int(item["coeff"]))
+                (tuple(gens.index(n) for n in item["word"]), _index(item["coeff"], "coeff"))
                 for item in data
             ),
         )
@@ -527,7 +527,7 @@ def _span_blocks(gens: GeneratorSet, k: int, u: int):
         else:
             span = np.concatenate(spans.pop(deg))
             span = span[(span != 0).any(axis=1)]
-            *_, vals, ua, _ = _snf_numpy(span, *span.shape, RingSpec(p, u), False)
+            vals, ua, *_ = _snf_numpy(span, *span.shape, RingSpec(p, u))
             exps, pivots = tuple(u - v for v in vals[:len(ua)]), ()
             basis = _fp.residues(ua, modulus)
         out[deg] = (codes, exps, _frozen(basis), tuple(pivots))

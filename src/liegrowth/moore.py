@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .freelie import mobius, witt
-from .zpmod import MR_BOUND, is_prime
+from .zpmod import MR_BOUND, _index, is_prime
 
 TRIAL_DIVISION_BOUND = 2 ** 20  # largest trial divisor crt_split tries
 
@@ -92,7 +92,8 @@ class MooreWedge:
     @classmethod
     def from_json(cls, data) -> "MooreWedge":
         return cls.from_pairs(
-            (MooreSummand(int(d["dim"]), int(d["p"]), int(d["r"])), int(d["mult"]))
+            (MooreSummand(_index(d["dim"], "dim"), _index(d["p"], "p"), _index(d["r"], "r")),
+             _index(d["mult"], "mult"))
             for d in data
         )
 

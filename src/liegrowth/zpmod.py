@@ -90,6 +90,14 @@ class RingSpec:
 Components = tuple[tuple[int, tuple[int, ...]], ...]
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int; int() would truncate 2.7 or parse "3"."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _at(pairs, key, default=None):
     """The value paired with ``key`` in a sequence of (key, value) pairs."""
     for k, value in pairs:
@@ -168,10 +176,10 @@ class GradedModule:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedModule":
-        ring = RingSpec(int(data["p"]), int(data["s"]))
+        ring = RingSpec(_index(data["p"], "p"), _index(data["s"], "s"))
         comps = {}
         for key, exps in data.get("components", {}).items():
-            comps[int(key)] = tuple(int(t) for t in exps)
+            comps[int(key)] = tuple(_index(t, "a summand exponent") for t in exps)
         return cls.from_dict(ring, comps)
 
     def __str__(self):
@@ -354,7 +362,7 @@ class ModuleMorphism:
             GradedModule.from_json_dict(data["domain"]),
             GradedModule.from_json_dict(data["codomain"]),
             {int(k): tuple(tuple(r) for r in m) for k, m in data["matrices"].items()},
-            int(data.get("shift", 0)),
+            _index(data.get("shift", 0), "shift"),
         )
 
 
@@ -424,46 +432,66 @@ def smith_normal_form_matrix(rows, ring: RingSpec, *, transforms=True):
     (U, Uinv, V, Vinv, vals), as lists of Python ints, with U*A*V = D,
     where D is diagonal with entries p^vals[k] (a valuation of s means the
     zero class) and the valuations are non-decreasing.  With
-    ``transforms=False`` the four matrix slots are None and the elimination
-    skips every update to them (Storjohann, Algorithms for Matrix Canonical
-    Forms, 2000, builds transforms only on demand).  The pivot rule is
+    ``transforms=False`` the four matrix slots are None.  The pivot rule is
     fixed: the entry of minimal p-valuation wins, ties broken by smallest
     row then smallest column, which makes the output deterministic.  Blocks
     of at least SNF_NUMPY_ENTRIES entries run a numpy kernel, smaller ones
     a kernel on Python lists; both apply that rule and return the same.
+    The numpy kernel only eliminates; the transforms are built after it, on
+    demand (Storjohann, Algorithms for Matrix Canonical Forms, 2000).  U is
+    the carried image of I in [A | I], V^-1 has rows (U*A)[i] / p^vals[i]
+    below the rank and unit vectors past it, and U^-1 and V are the
+    inverses of the triangular matrices U and V^-1 become once their
+    columns follow the elimination's row and column order.
     """
     if isinstance(rows, np.ndarray):
         m, n = rows.shape
     else:
         m = len(rows)
         n = len(rows[0]) if m else 0
-    if m * n >= SNF_NUMPY_ENTRIES:
-        return _snf_numpy(rows, m, n, ring, transforms)[:5]
-    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
-    return _snf_lists(rows, m, n, ring, transforms)
+    if m * n < SNF_NUMPY_ENTRIES:
+        rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        return _snf_lists(rows, m, n, ring, transforms)
+    if not transforms:
+        return None, None, None, None, _snf_numpy(rows, m, n, ring)[0]
+    stacked = np.concatenate([np.asarray(rows), np.eye(m, dtype=np.int64)], axis=1)
+    vals, ua, u, row_origin, col_origin = _snf_numpy(stacked, m, n, ring)
+    rank, mod = len(ua), ring.modulus
+    vinv = np.zeros((n, n), dtype=ua.dtype)
+    vinv[:rank] = ua // np.array([ring.p ** v for v in vals[:rank]], dtype=ua.dtype)[:, None]
+    vinv[np.arange(rank, n), col_origin[rank:]] = 1
+    v = _unit_upper_inverse(vinv[:, col_origin], rank, mod)[np.argsort(col_origin)]
+    # U P^-1 is lower triangular, for the row permutation P of the elimination
+    uinv = _unit_upper_inverse(u[:, row_origin].T, rank, mod).T[np.argsort(row_origin)]
+    return u.tolist(), uinv.tolist(), v.tolist(), vinv.tolist(), vals
 
 
-def _snf_numpy(rows, m: int, n: int, ring: RingSpec, transforms=True):
-    """The Smith form of smith_normal_form_matrix, one numpy update per
-    elimination, then U*A = D*V^-1 on its rank nonzero rows, whose row i is
-    p^vals[i] V^-1[i], and U*C for the columns C of ``rows`` past n.
+def _unit_upper_inverse(t, rank: int, mod: int) -> np.ndarray:
+    """The inverse over Z/mod of an upper triangular t with unit diagonal
+    entries and rows from ``rank`` on the identity's, solved bottom-up from
+    there; each update sums at most ``rank`` products of residues."""
+    t = _fp.residues(t, mod, rank)
+    x = _fp.residues(np.eye(len(t), dtype=np.int64), mod, rank)
+    for i in range(rank - 1, -1, -1):
+        x[i] = (x[i] - t[i, i + 1:] @ x[i + 1:]) % mod * pow(int(t[i, i]), -1, mod) % mod
+    return x
 
-    Those columns are carried: row operations apply to them, while the
-    pivot search and the column operations stay in the first n columns.
-    Row operations touch a[k:, k:] only, as columns before k are zero below
-    the diagonal; column swaps act on every row of a, and column clearing
-    never writes to a, so a[:rank, :n] ends as U*A*P for the column
-    permutation P.  Step k changes column k of U^-1 and row k of V^-1 and
-    only swaps the later ones, so at step k column i > k of U^-1 is the
-    unit vector at row_origin[i] (the input row now at i) and row j > k of
-    V^-1 the one at col_origin[j]."""
+
+def _snf_numpy(rows, m: int, n: int, ring: RingSpec):
+    """The elimination of smith_normal_form_matrix on the first n columns
+    of ``rows``, one numpy update per step, with no transform built.
+
+    Returns (vals, ua, carried, row_origin, col_origin): the valuations;
+    U*A = D*V^-1 on its rank nonzero rows, whose row i is p^vals[i] V^-1[i];
+    U*C for the carried columns C of ``rows`` past n, to which the row
+    operations apply; and the input row and column that end at each
+    position.  Row operations touch a[k:, k:] only, as columns before k are
+    zero below the diagonal.  Clearing row k right of the pivot would change
+    no other row, so it is left out, and a[:rank, :n] ends as U*A*P for the
+    column permutation P."""
     mod, p, s = ring.modulus, ring.p, ring.s
     # every update is x + c * y on residues, below 2 * mod^2
     a = _fp.residues(rows, mod, 2)
-    a = a.reshape(m, n) if a.ndim < 2 else a  # an empty list has no shape
-    u, uinv, v, vinv = (
-        np.eye(size, dtype=a.dtype) if transforms else None for size in (m, m, n, n)
-    )
     row_origin, col_origin = np.arange(m), np.arange(n)
     vals: list[int] = []
     for k in range(min(m, n)):
@@ -478,59 +506,22 @@ def _snf_numpy(rows, m: int, n: int, ring: RingSpec, transforms=True):
         bi, bj = bi + k, bj + k
         if bi != k:
             a[[k, bi], k:] = a[[bi, k], k:]
-            if transforms:
-                u[[k, bi]] = u[[bi, k]]
-                uinv[:, [k, bi]] = uinv[:, [bi, k]]
             row_origin[[k, bi]] = row_origin[[bi, k]]
         if bj != k:
             a[:, [k, bj]] = a[:, [bj, k]]
-            if transforms:
-                v[:, [k, bj]] = v[:, [bj, k]]
-                vinv[[k, bj]] = vinv[[bj, k]]
             col_origin[[k, bj]] = col_origin[[bj, k]]
         pivot = p ** val
-        unit = int(a[k, k]) // pivot
-        inv = ring.unit_inverse(unit)
-        a[k, k:] = a[k, k:] * inv % mod
-        if transforms:
-            u[k] = u[k] * inv % mod
-            uinv[:, k] = uinv[:, k] * unit % mod
+        a[k, k:] = a[k, k:] * ring.unit_inverse(int(a[k, k]) // pivot) % mod
         # row_i += c_i row_k clears column k below the pivot, for the rows i
-        # with a nonzero entry there; U^-1 absorbs all of them in column k.
-        # Only the columns where row k of U is nonzero change in U.
+        # with a nonzero entry there
         below = k + 1 + np.flatnonzero(a[k + 1:, k])
         if below.size:
             c = -(a[below, k] // pivot) % mod
             a[below, k:] = (a[below, k:] + np.outer(c, a[k, k:])) % mod
-            if transforms:
-                support = np.flatnonzero(u[k])
-                block = np.ix_(below, support)
-                u[block] = (u[block] + np.outer(c, u[k, support])) % mod
-                hit = row_origin[below]
-                uinv[hit, k] = (uinv[hit, k] - c) % mod
-        # col_j += d_j col_k clears row k right of the pivot; V^-1 absorbs
-        # all of them in its row k.  Only row k of a changes, and it is done.
-        if transforms:
-            right = k + 1 + np.flatnonzero(a[k, k + 1:n])
-            d = -(a[k, right] // pivot) % mod
-            support = np.flatnonzero(v[:, k])
-            block = np.ix_(support, right)
-            v[block] = (v[block] + np.outer(v[support, k], d)) % mod
-            hit = col_origin[right]
-            vinv[k, hit] = (vinv[k, hit] - d) % mod
         vals.append(val)
-    ua = np.empty_like(a[:len(vals), :n])
-    ua[:, col_origin] = a[:len(vals), :n]
-    carried = a[:, n:].copy()
+    ua = a[:len(vals), np.argsort(col_origin)]
     vals.extend([s] * (min(m, n) - len(vals)))
-    # dropping each array once its list is built keeps the peak at the lists
-    # plus one array
-    mats = [u, uinv, v, vinv]
-    del a, u, uinv, v, vinv
-    for i in range(4):
-        if mats[i] is not None:
-            mats[i] = mats[i].tolist()
-    return (*mats, vals, ua, carried)
+    return vals, ua, a[:, n:].copy(), row_origin, col_origin
 
 
 def _snf_lists(rows, m: int, n: int, ring: RingSpec, transforms=True):
@@ -773,6 +764,10 @@ def split_injection_normalize(phi: ModuleMorphism) -> BasisChange:
         as_mat = lambda rows: tuple(tuple(x % mod for x in r) for r in rows)
         blocks.append((d, (as_mat(basis), as_mat(basis_inv))))
         labels_out.append((d, tuple(labels)))
+    for d, exps in phi.domain.components:  # degrees over a zero codomain
+        if not phi.codomain.rank_at(d + phi.shift):
+            witness = (d, (p ** (s - 1),) + (0,) * (len(exps) - 1))
+            raise NotInjectiveError(f"map is not injective at degree {d}", witness=witness)
     return BasisChange(ring, tuple(blocks), tuple(labels_out))
 
 

@@ -108,6 +108,15 @@ class TestSubcommands:
             {"dim": 5, "p": 3, "r": 1, "mult": 2},
         ]
 
+    def test_moore_smash_rejects_non_integer_json(self):
+        # int() would have read dim 2.5 as 2 and mult 1.9 as 1
+        b = json.dumps([{"dim": 3, "p": 3, "r": 1, "mult": 2}])
+        for bad in ({"dim": 2.5, "p": 3, "r": 1, "mult": 1},
+                    {"dim": 2, "p": 3, "r": 1, "mult": 1.9}):
+            code, out, err = run_cli(["moore-smash", "--a", json.dumps([bad]), "--b", b])
+            assert code == 2 and not out
+            assert "must be an integer" in err
+
     def test_moore_growth_certificate(self):
         code, out, _ = run_cli(COMMANDS["moore-growth"])
         data = json.loads(out)
@@ -206,19 +215,21 @@ class TestExitCodes:
     def test_word_guard_refuses_before_any_work(self):
         # the top weight is checked before weights 1..max - 1 are computed
         # one block bound for every coefficient exponent u
-        for argv, words in (
+        # boundary-growth reaches weight deg(x) * max_k = 18 through degree 18
+        for argv, weight, words in (
             (["lie-dims", "--p", "3", "--u", "2", "--gens", "x:1,y:1",
-              "--max-weight", "15"], 32768),
-            (["lie-dims", "--p", "3", "--gens", "x:2,y:1", "--max-weight", "17"], 24310),
-            (["homology", "--p", "3", "--deg-x", "2", "--max-weight", "17"], 24310),
-            (["ineq", "--p", "3", "--max-k", "17"], 24310),
+              "--max-weight", "15"], 15, 32768),
+            (["lie-dims", "--p", "3", "--gens", "x:2,y:1", "--max-weight", "17"], 17, 24310),
+            (["homology", "--p", "3", "--deg-x", "2", "--max-weight", "17"], 17, 24310),
+            (["ineq", "--p", "3", "--max-k", "17"], 17, 24310),
+            (["boundary-growth", "--p", "3", "--max-k", "9"], 18, 48620),
         ):
             start = time.perf_counter()
             code, out, err = run_cli(argv)
             assert time.perf_counter() - start < 1
             assert code == 3 and not out
             assert err == (
-                f"resource guard: the widest degree block of weight {argv[-1]} has "
+                f"resource guard: the widest degree block of weight {weight} has "
                 f"{words} words, above the guard of 16384; this guard has no override\n"
             )
         # an invalid coefficient exponent is still invalid input first

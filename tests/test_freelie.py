@@ -215,6 +215,11 @@ class TestTensorElement:
         assert data == [{"coeff": 2, "word": ["x", "y", "y"]}]
         assert TensorElement.from_json(gens, data) == e
 
+    @pytest.mark.parametrize("coeff", [1.5, 2.0, "2"])
+    def test_parse_rejects_a_non_integer_coefficient(self, coeff):
+        with pytest.raises(InputError, match="coeff must be an integer"):
+            TensorElement.from_json(graded_gens(), [{"coeff": coeff, "word": ["x"]}])
+
     def test_zeta_picks_weight(self):
         gens = graded_gens()
         e = TensorElement.from_word(gens, (0, 1)) + TensorElement.from_word(gens, (0,))

@@ -65,6 +65,14 @@ class TestSummandAndWedge:
         ]
         assert MooreWedge.from_json(data) == w
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 2.5), ("p", 3.0), ("r", "2"), ("mult", 1.9)])
+    def test_parse_rejects_non_integers(self, field, value):
+        data = [{"dim": 4, "p": 3, "r": 2, "mult": 1}]
+        data[0][field] = value
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            MooreWedge.from_json(data)
+
     def test_emitted_wedges_are_canonical(self):
         # normalization is idempotent on everything the module emits
         outputs = [

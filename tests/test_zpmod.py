@@ -119,6 +119,18 @@ class TestGradedModule:
         with pytest.raises(InvalidExponentError):
             GradedModule.from_json_dict({"p": 3, "s": 2, "components": {"0": [5]}})
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", 3.9), ("s", 2.2), ("p", "3"), ("exponent", 2.7), ("exponent", 2.0)])
+    def test_parse_rejects_non_integers(self, field, value):
+        # int() would truncate these to p = 3, s = 2 or exponent 2
+        data = {"p": 3, "s": 2, "components": {"0": [1]}}
+        if field == "exponent":
+            data["components"]["0"] = [value]
+        else:
+            data[field] = value
+        with pytest.raises(InputError, match="must be an integer"):
+            GradedModule.from_json_dict(data)
+
 
 class TestDimOf:
     def test_reads_off_counts(self):
@@ -325,6 +337,13 @@ class TestMorphism:
     def test_json_round_trip(self):
         phi = ModuleMorphism.from_dict(mod(R9, (2, 1)), mod(R9, (2,)), {0: ((1, 3),)})
         assert ModuleMorphism.from_json_dict(phi.to_json_dict()) == phi
+
+    @pytest.mark.parametrize("shift", [0.6, 1.0, "1"])
+    def test_parse_rejects_a_non_integer_shift(self, shift):
+        data = ModuleMorphism.identity(mod(R9, (2,))).to_json_dict()
+        data["shift"] = shift
+        with pytest.raises(InputError, match="shift must be an integer"):
+            ModuleMorphism.from_json_dict(data)
 
     @pytest.mark.parametrize("entry", [1.5, 4.0, "4"])
     def test_non_integer_entries_are_rejected(self, entry):
@@ -559,9 +578,9 @@ class TestSmithKernels:
         ring, a = case
         m, n = a.shape
         expected = _snf_lists(a.tolist(), m, n, ring)
-        result = _snf_numpy(a, m, n, ring)
-        assert result[:5] == expected
-        assert_rows_are_scaled_vinv(result[5], expected, ring)
+        vals, ua, *_ = _snf_numpy(a, m, n, ring)
+        assert vals == expected[4]
+        assert_rows_are_scaled_vinv(ua, expected, ring)
         assert smith_normal_form_matrix(a, ring) == expected
         if m:
             assert smith_normal_form_matrix(a.tolist(), ring) == expected
@@ -572,10 +591,10 @@ class TestSmithKernels:
         rng = random.Random(seed)
         c = np.array([[rng.randrange(ring.modulus) for _ in range(carry)] for _ in range(m)],
                      dtype=np.int64).reshape(m, carry)
-        result = _snf_numpy(np.concatenate([a, c], axis=1), m, n, ring, transforms)
-        assert result[:5] == requested
-        assert_rows_are_scaled_vinv(result[5], expected, ring)
-        assert_carried_is_u_times(result[6], expected[0], c, ring)
+        vals, ua, carried, *_ = _snf_numpy(np.concatenate([a, c], axis=1), m, n, ring)
+        assert vals == expected[4]
+        assert_rows_are_scaled_vinv(ua, expected, ring)
+        assert_carried_is_u_times(carried, expected[0], c, ring)
         assert smith_normal_form_matrix(a, ring, transforms=transforms) == requested
 
     def test_object_dtype_path(self):
@@ -586,22 +605,62 @@ class TestSmithKernels:
         a = [[rng.randrange(ring.modulus) if rng.random() < 0.7 else 0 for _ in range(30)]
              for _ in range(30)]
         expected = _snf_lists(a, 30, 30, ring)
-        result = _snf_numpy(a, 30, 30, ring)
-        assert result[:5] == expected
-        assert_rows_are_scaled_vinv(result[5], expected, ring)
+        vals, ua, *_ = _snf_numpy(a, 30, 30, ring)
+        assert vals == expected[4]
+        assert_rows_are_scaled_vinv(ua, expected, ring)
         assert smith_normal_form_matrix(np.array(a, dtype=object), ring) == expected
         assert all(type(x) is int for x in expected[3][0])
         c = np.array([[rng.randrange(ring.modulus) for _ in range(2)] for _ in range(30)],
                      dtype=object)
+        vals, ua, carried, *_ = _snf_numpy(
+            [row + extra for row, extra in zip(a, c.tolist())], 30, 30, ring)
+        assert vals == expected[4]
+        assert_rows_are_scaled_vinv(ua, expected, ring)
+        assert_carried_is_u_times(carried, expected[0], c, ring)
+        assert all(type(x) is int for x in carried[0])
         for transforms in (True, False):
             requested = expected if transforms else without_transforms(expected)
             assert _snf_lists(a, 30, 30, ring, transforms) == requested
-            result = _snf_numpy([row + extra for row, extra in zip(a, c.tolist())], 30, 30,
-                                ring, transforms)
-            assert result[:5] == requested
-            assert_rows_are_scaled_vinv(result[5], expected, ring)
-            assert_carried_is_u_times(result[6], expected[0], c, ring)
-            assert all(type(x) is int for x in result[6][0])
+            assert smith_normal_form_matrix(a, ring, transforms=transforms) == requested
+
+    @pytest.mark.parametrize("ring", [R27, RingSpec(2, 4)], ids=["Z/27", "Z/16"])
+    @pytest.mark.parametrize("shape", [(120, 96), (96, 120), (200, 40), (40, 200)])
+    def test_wide_rank_deficient_blocks(self, ring, shape):
+        # past the hypothesis sizes: the transforms built after the
+        # elimination still diagonalize and invert
+        m, n = shape
+        rng = np.random.default_rng(m * n + ring.p)
+        r = min(m, n) * 3 // 4
+        a = rng.integers(0, ring.modulus, (m, r)) @ rng.integers(0, ring.modulus, (r, n))
+        a[: m // 5] *= ring.p  # some entries of positive valuation
+        a %= ring.modulus
+        u, uinv, v, vinv, vals = smith_normal_form_matrix(a, ring)
+        assert vals == sorted(vals) and vals.count(ring.s) >= min(m, n) - r
+        d = np.zeros((m, n), dtype=np.int64)
+        d[range(len(vals)), range(len(vals))] = [ring.p ** x % ring.modulus for x in vals]
+        assert np.array_equal(np.array(u) @ a % ring.modulus @ np.array(v) % ring.modulus, d)
+        assert np.array_equal(np.array(u) @ np.array(uinv) % ring.modulus, np.eye(m))
+        assert np.array_equal(np.array(v) @ np.array(vinv) % ring.modulus, np.eye(n))
+        if shape == (96, 120) and ring == R27:
+            assert [u, uinv, v, vinv, vals] == list(_snf_lists(a.tolist(), m, n, ring))
+
+    def test_int64_kernel_with_object_back_substitution(self):
+        # 2 * mod^2 fits int64, so the kernel runs there, while a back
+        # substitution over rank >= 2 rows needs Python ints
+        ring = RingSpec(2 ** 31 - 1, 1)
+        assert _fp.int_dtype(ring.modulus, 2) is np.int64
+        assert _fp.int_dtype(ring.modulus, 2 * 2) is object
+        rng = random.Random(31)
+        for m, n in ((20, 20), (16, 40), (40, 16)):
+            a = [[rng.randrange(ring.modulus) if rng.random() < 0.6 else 0 for _ in range(n)]
+                 for _ in range(m)]
+            a[1] = a[0][:]  # rank deficient, whichever side is shorter
+            for row in a:
+                row[1] = row[0]
+            result = smith_normal_form_matrix(a, ring)
+            assert result == _snf_lists(a, m, n, ring)
+            assert result[4][-1] == 1
+            assert all(type(x) is int for mat in result[:4] for row in mat for x in row)
 
     def test_zero_rows_array(self):
         for n in (0, 3, SNF_NUMPY_ENTRIES + 1):
@@ -690,6 +749,24 @@ class TestSplitInjection:
         degree, witness = err.value.witness
         assert any(c % 9 for c in witness)
         assert not any(phi.apply_at(degree, witness))
+
+    @pytest.mark.parametrize("shift", [0, 2])
+    def test_domain_degree_over_zero_codomain(self, shift):
+        # Z/3 in degrees 0 and 1, the identity at degree 0: degree 1 maps to 0
+        ring = RingSpec(3, 1)
+        dom = GradedModule.from_dict(ring, {0: (1,), 1: (1,)})
+        cod = GradedModule.from_dict(ring, {shift: (1,)})
+        phi = ModuleMorphism.from_dict(dom, cod, {0: ((1,),)}, shift)
+        assert not is_injective(phi)
+        with pytest.raises(NotInjectiveError, match="at degree 1") as err:
+            split_injection_normalize(phi)
+        assert err.value.witness == (1, (1,))
+        two = ModuleMorphism.from_dict(
+            GradedModule.from_dict(R9, {0: (2,), 1: (2, 2)}), GradedModule.free(R9, 1),
+            {0: ((1,),)})
+        with pytest.raises(NotInjectiveError) as err:
+            split_injection_normalize(two)
+        assert err.value.witness == (1, (3, 0))
 
     def test_exhaustive_small_case(self):
         # every map Z/9 -> Z/9 + Z/3, checked against brute-force injectivity
