@@ -31,6 +31,14 @@ def _emit(payload, csv_rows, fmt):
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _parse_json(text: str, what: str):
+    """json.loads, with too deep a nesting refused as invalid input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError(f"{what} nests too deeply") from None
+
+
 def _parse_gens(text: str):
     """Parse 'x:2,y:1' into (name, degree) pairs."""
     out = []
@@ -182,8 +190,8 @@ def cmd_moore_smash(args):
     if (args.a is None) != (args.b is None):
         raise InputError("give both --a and --b, or neither")
     if args.a is not None:
-        a = moore.MooreWedge.from_json(json.loads(args.a))
-        b = moore.MooreWedge.from_json(json.loads(args.b))
+        a = moore.MooreWedge.from_json(_parse_json(args.a, "--a"))
+        b = moore.MooreWedge.from_json(_parse_json(args.b, "--b"))
     else:
         a = moore.MooreWedge.of(moore.MooreSummand(args.n, args.p, args.r))
         b = moore.MooreWedge.of(moore.MooreSummand(args.m, args.p, args.r))

@@ -408,71 +408,45 @@ class AcyclicBasis:
 def acyclic_basis(cx: BigradedComplex) -> AcyclicBasis:
     """Build an acyclic basis by lifting kernels up through the degrees.
 
-    Walks each weight from the bottom degree up: the kernel basis at one
-    level is lifted through d to the next, a kernel basis of the new level
-    is adjoined, and each lift pairs with its image.  One rref of
-    [d | kernel below] per block answers both: its first r columns are
-    rref(d), whose free columns give the kernel, and the target columns
-    read off every lift at once.  Any failed lift (a pivot among the
-    targets), or a leftover kernel at the top, is reported with the first
-    (degree, weight) where homology is nonzero.
+    Walks each weight up through its nonzero degrees and the degree just
+    above each, an absent degree counting as a rank-0 block: the kernel
+    basis at one degree is lifted through d to the next, and each lift
+    pairs with its image.  One rref of [d | kernel below] per block answers
+    both: its first r columns are rref(d), whose free columns give the
+    kernel, and the kernel columns read off every lift at once.  A pivot
+    among those columns is a kernel vector that no lift reaches, so the
+    complex is refused at the degree below, the first (degree, weight) with
+    nonzero homology.  That is the only refusal: once every lift succeeds,
+    d*d = 0 (checked by BigradedComplex) makes the image of d exactly the
+    kernel below.
     """
     p = cx.p
     even_pairs = []
     odd_pairs = []
     for w in cx.weights():
-        degs = sorted(deg for (deg, wt), r in cx.ranks if wt == w and r)
-        prev_kernel: list = []
-        prev_deg = None
-        for deg in degs:
+        nonzero = [d for (d, wt), r in cx.ranks if wt == w and r]
+        kernel = np.zeros((0, 0), dtype=np.int64)
+        for deg in sorted({d + i for d in nonzero for i in (0, 1)}):
             r = cx.rank_at(deg, w)
-            mat = cx.diff_at(deg, w)
-            rows_below = cx.rank_at(deg - 1, w)
-            if mat is None:
-                m = np.zeros((rows_below, r), dtype=np.int64)
-            else:
-                m = np.array(mat, dtype=np.int64)
-            if prev_kernel and deg != prev_deg + 1:
-                raise NotAcyclicError(
-                    f"nonzero homology at degree {prev_deg}, weight {w}",
-                    spot=(prev_deg, w),
-                )
-            rows, pivots = _fp.rref(np.column_stack([m, *prev_kernel]), p)
+            given = cx.diff_at(deg, w)
+            mat = np.zeros((kernel.shape[1], r), dtype=np.int64)
+            if given is not None:
+                mat[:] = given
+            rows, pivots = _fp.rref(np.hstack([mat, kernel.T]), p)
             if pivots and pivots[-1] >= r:
                 raise NotAcyclicError(
-                    f"nonzero homology at degree {prev_deg}, weight {w}",
-                    spot=(prev_deg, w),
+                    f"nonzero homology at degree {deg - 1}, weight {w}",
+                    spot=(deg - 1, w),
                 )
-            lifts = np.zeros((r, len(prev_kernel)), dtype=rows.dtype)
+            lifts = np.zeros((r, len(kernel)), dtype=rows.dtype)
             lifts[pivots] = rows[:, r:]
-            for sol, target in zip(lifts.T, prev_kernel):
-                pair = (
-                    ((deg, w), tuple(int(x) for x in sol)),
-                    ((deg - 1, w), tuple(int(x) for x in target)),
-                )
-                if deg % 2 == 0:
-                    even_pairs.append(pair)
-                else:
-                    odd_pairs.append(pair)
-            kernel = []
-            for c in [c for c in range(r) if c not in pivots]:
-                vec = np.zeros(r, dtype=np.int64)
-                vec[c] = 1
-                for i, pc in enumerate(pivots):
-                    vec[pc] = (-rows[i, c]) % p
-                kernel.append(vec)
-            if len(prev_kernel) + len(kernel) != r:
-                raise NotAcyclicError(
-                    f"nonzero homology at degree {deg}, weight {w}",
-                    spot=(deg, w),
-                )
-            prev_kernel = kernel
-            prev_deg = deg
-        if prev_kernel:
-            raise NotAcyclicError(
-                f"nonzero homology at degree {prev_deg}, weight {w}",
-                spot=(prev_deg, w),
-            )
+            pairs = even_pairs if deg % 2 == 0 else odd_pairs
+            for sol, target in zip(lifts.T.tolist(), kernel.tolist()):
+                pairs.append((((deg, w), tuple(sol)), ((deg - 1, w), tuple(target))))
+            free = [c for c in range(r) if c not in pivots]
+            kernel = np.zeros((len(free), r), dtype=np.int64)
+            kernel[range(len(free)), free] = 1
+            kernel[:, pivots] = (-rows[:, free].T) % p
     return AcyclicBasis(tuple(even_pairs), tuple(odd_pairs))
 
 

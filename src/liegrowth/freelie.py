@@ -28,10 +28,11 @@ from .errors import (
     InvalidExponentError,
     ResourceGuardError,
 )
-from .zpmod import GradedModule, RingSpec, _index, _snf_numpy
+from .zpmod import GradedModule, RingSpec, _index, _json, _snf_numpy
 
 WORD_GUARD = 2 ** 20  # n^k above this is refused
 BLOCK_GUARD = 2 ** 14  # a (weight, degree) block wider than this is refused
+HALL_GUARD = 2 ** 16  # more basic products than this, over all weights, are refused
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ class GeneratorSet:
         return len(self.names)
 
     def index(self, name: str) -> int:
+        if name not in self.names:
+            raise InputError(f"unknown generator {name!r}")
         return self.names.index(name)
 
 
@@ -248,13 +251,12 @@ class TensorElement:
 
     @classmethod
     def from_json(cls, gens, data) -> "TensorElement":
-        return cls(
-            gens,
-            tuple(
-                (tuple(gens.index(n) for n in item["word"]), _index(item["coeff"], "coeff"))
-                for item in data
-            ),
-        )
+        terms = []
+        for item in _json(data, "a tensor element"):
+            item = _json(item, "a term", ("coeff", "word"))
+            word = tuple(gens.index(n) for n in _json(item["word"], "a word"))
+            terms.append((word, _index(item["coeff"], "coeff")))
+        return cls(gens, tuple(terms))
 
 
 def zeta(element: TensorElement, i: int) -> TensorElement:
@@ -358,6 +360,20 @@ def basic_products(n_gens: int, k: int):
 
 
 def hall_basis(n_gens: int, max_weight: int) -> HallBasis:
+    """The basic products of weights 1..max_weight.
+
+    Before building any tree, refuses more than HALL_GUARD of them in all,
+    counted as the running sum of W_n(k); the guard has no override.
+    """
+    count = 0
+    for k in range(1, max_weight + 1):
+        count += witt(n_gens, k)
+        if count > HALL_GUARD:
+            raise ResourceGuardError(
+                f"the basic products on {n_gens} generators up to weight {k} "
+                f"number {count} (max weight {max_weight}), above the guard of "
+                f"{HALL_GUARD}; this guard has no override"
+            )
     # (tree_sort_key, tree) pairs per weight; kv[2] is the key of v[0].
     per_weight = [[(tree_sort_key(a), a) for a in range(n_gens)]]
     for k in range(2, max_weight + 1):

@@ -22,9 +22,11 @@ from .errors import (
     UnsupportedInputError,
 )
 from .freelie import mobius, witt
-from .zpmod import MR_BOUND, _index, is_prime
+from .zpmod import MR_BOUND, _index, _json, is_prime
 
 TRIAL_DIVISION_BOUND = 2 ** 20  # largest trial divisor crt_split tries
+HM_GUARD = 2 ** 16  # a Hilton-Milnor expansion with more Moore summands is refused
+MAX_GROWTH_WEIGHT = 517  # 4^k / (2k) as a float overflows from k = 518
 
 
 @dataclass(frozen=True, order=True)
@@ -91,11 +93,12 @@ class MooreWedge:
 
     @classmethod
     def from_json(cls, data) -> "MooreWedge":
-        return cls.from_pairs(
-            (MooreSummand(_index(d["dim"], "dim"), _index(d["p"], "p"), _index(d["r"], "r")),
-             _index(d["mult"], "mult"))
-            for d in data
-        )
+        pairs = []
+        for item in _json(data, "a wedge"):
+            item = _json(item, "a wedge term", ("dim", "p", "r", "mult"))
+            dim, p, r, mult = (_index(item[k], k) for k in ("dim", "p", "r", "mult"))
+            pairs.append((MooreSummand(dim, p, r), mult))
+        return cls.from_pairs(pairs)
 
     def __str__(self):
         if self.is_empty():
@@ -289,9 +292,20 @@ def hilton_milnor_expansion(n: int, m: int, p: int, r: int, max_weight: int):
     P^{k1 n + k2 m + 1 - i}(p^r) with multiplicity C(k-1, i).  Factors are
     grouped by letter counts, counted by the necklace formula; counts over
     a fixed weight k sum to W_2(k).
+
+    Weight 1 has two groups of one summand each and weight k >= 2 has k - 1
+    groups (0 < k1 < k) of k summands, so the expansion lists
+    2 + (K - 1) K (K + 1) / 3 summands to weight K; more than HM_GUARD are
+    refused before any is built, with no override.
     """
     if p ** r == 2:
         raise UnsupportedInputError("the smash rule excludes p^r = 2")
+    summands = 2 + (max_weight - 1) * max_weight * (max_weight + 1) // 3
+    if summands > HM_GUARD:
+        raise ResourceGuardError(
+            f"the expansion to weight {max_weight} has {summands} Moore summands, "
+            f"above the guard of {HM_GUARD}; this guard has no override"
+        )
     out = []
     for k in range(1, max_weight + 1):
         for k1 in range(k + 1):
@@ -339,6 +353,11 @@ class GrowthParams:
             raise InputError("the stable offset j must be >= 0")
         if self.max_weight < 1:
             raise InputError("max_weight must be >= 1")
+        if self.max_weight > MAX_GROWTH_WEIGHT:
+            raise InputError(
+                f"max_weight {self.max_weight} is above {MAX_GROWTH_WEIGHT}: the "
+                "certificate prints 4^k / (2k) as a float, which overflows beyond it"
+            )
 
 
 @dataclass(frozen=True)

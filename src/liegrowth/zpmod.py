@@ -98,6 +98,27 @@ def _index(value, what: str) -> int:
         raise InputError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _json(value, what: str, keys=None):
+    """``value`` checked to be a JSON array or, when ``keys`` is given (even
+    empty), a JSON object holding each of those keys; the ``from_json``
+    readers call it before they index, so malformed input is InputError."""
+    kind, name = ((list, tuple), "an array") if keys is None else (dict, "an object")
+    if not isinstance(value, kind):
+        raise InputError(f"{what} must be {name}, got {type(value).__name__}")
+    for key in keys or ():
+        if key not in value:
+            raise InputError(f"{what} lacks the key {key!r}")
+    return value
+
+
+def _degree(key) -> int:
+    """A degree given as a JSON object key, such as "4"."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise InputError(f"a degree must be an integer, got {key!r}") from None
+
+
 def _at(pairs, key, default=None):
     """The value paired with ``key`` in a sequence of (key, value) pairs."""
     for k, value in pairs:
@@ -176,10 +197,12 @@ class GradedModule:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedModule":
+        data = _json(data, "a module", ("p", "s"))
         ring = RingSpec(_index(data["p"], "p"), _index(data["s"], "s"))
         comps = {}
-        for key, exps in data.get("components", {}).items():
-            comps[int(key)] = tuple(_index(t, "a summand exponent") for t in exps)
+        for key, exps in _json(data.get("components", {}), "components", ()).items():
+            exps = _json(exps, "a list of summand exponents")
+            comps[_degree(key)] = tuple(_index(t, "a summand exponent") for t in exps)
         return cls.from_dict(ring, comps)
 
     def __str__(self):
@@ -358,10 +381,15 @@ class ModuleMorphism:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ModuleMorphism":
+        data = _json(data, "a morphism", ("domain", "codomain", "matrices"))
+        matrices = {
+            _degree(k): tuple(tuple(_json(r, "a matrix row")) for r in _json(m, "a matrix"))
+            for k, m in _json(data["matrices"], "matrices", ()).items()
+        }
         return cls.from_dict(
             GradedModule.from_json_dict(data["domain"]),
             GradedModule.from_json_dict(data["codomain"]),
-            {int(k): tuple(tuple(r) for r in m) for k, m in data["matrices"].items()},
+            matrices,
             _index(data.get("shift", 0), "shift"),
         )
 

@@ -5,8 +5,14 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liegrowth import cli, freelie
+from liegrowth.errors import InputError
+from liegrowth.freelie import GeneratorSet, TensorElement
+from liegrowth.moore import MooreWedge
+from liegrowth.zpmod import GradedModule, ModuleMorphism, RingSpec
 
 COMMANDS = {
     "witt": ["witt", "--n", "2", "--max-k", "6"],
@@ -182,6 +188,7 @@ class TestExitCodes:
         assert "resource guard" in err
 
     def test_moore_hm_has_no_weight_guard(self):
+        # weight 40 lists 21322 summands, under the summand guard
         code, out, _ = run_cli(
             ["moore-hm", "--n", "2", "--m", "2", "--p", "3", "--r", "1",
              "--max-k", "40"]
@@ -252,6 +259,108 @@ class TestExitCodes:
             assert code == expected and not out
         code, _, err = run_cli(["tau-sigma", "--p", "131", "--k", "1"])
         assert code == 3 and "no override" in err
+
+    def test_unbounded_jobs_end_in_a_refusal(self):
+        # each of these once ended in a traceback with exit 1
+        wedge = json.dumps([{"dim": 3, "p": 3, "r": 1, "mult": 2}])
+        for argv, expected, message in (
+            (["hall", "--n", "4", "--max-k", "16"], 3,
+             "resource guard: the basic products on 4 generators up to weight 10 "
+             "number 145338 (max weight 16), above the guard of 65536; "
+             "this guard has no override\n"),
+            (["moore-hm", "--n", "2", "--m", "2", "--p", "3", "--r", "2",
+              "--max-k", "300"], 3,
+             "resource guard: the expansion to weight 300 has 8999902 Moore "
+             "summands, above the guard of 65536; this guard has no override\n"),
+            (COMMANDS["moore-growth"][:-1] + ["518"], 2,
+             "invalid input: max_weight 518 is above 517: the certificate prints "
+             "4^k / (2k) as a float, which overflows beyond it\n"),
+            (["moore-smash", "--a", '[{"dim": 2}]', "--b", wedge], 2,
+             "invalid input: a wedge term lacks the key 'p'\n"),
+            (["moore-smash", "--a", '{"dim": 2}', "--b", wedge], 2,
+             "invalid input: a wedge must be an array, got dict\n"),
+            (["moore-smash", "--a", "[3]", "--b", wedge], 2,
+             "invalid input: a wedge term must be an object, got int\n"),
+            (["moore-smash", "--a", "[" * 5000 + "]" * 5000, "--b", wedge], 2,
+             "invalid input: --a nests too deeply\n"),
+        ):
+            start = time.perf_counter()
+            code, out, err = run_cli(argv)
+            assert time.perf_counter() - start < 1
+            assert (code, out, err) == (expected, "", message)
+
+
+# Any JSON value, small enough that no reader is slow on it
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-3, 12)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def objects(fields):
+    """JSON objects holding ``fields`` or, half the time, any subset of them,
+    each value valid or junk, among junk keys."""
+    broken = st.builds(
+        lambda chosen, extra: {**extra, **chosen},
+        st.fixed_dictionaries({}, optional={k: v | JUNK for k, v in fields.items()}),
+        st.dictionaries(st.text(max_size=3), JUNK, max_size=2),
+    )
+    return st.fixed_dictionaries(fields) | broken
+
+
+def arrays(item):
+    return st.lists(item | JUNK, max_size=3)
+
+
+WEDGE_TERM = objects({"dim": st.integers(1, 4), "p": st.sampled_from((3, 5, 4)),
+                      "r": st.integers(0, 2), "mult": st.integers(0, 2)})
+MODULE = objects({"p": st.sampled_from((3, 5, 4)), "s": st.integers(0, 2),
+                  "components": st.dictionaries(st.sampled_from(("0", "1", "x")),
+                                                arrays(st.integers(1, 2)), max_size=2)})
+F3_MODULE = st.fixed_dictionaries({"p": st.just(3), "s": st.just(1), "components": (
+    st.dictionaries(st.sampled_from(("0", "1")), st.lists(st.just(1), max_size=2)))})
+MORPHISM = objects({"domain": F3_MODULE | MODULE, "codomain": F3_MODULE | MODULE,
+                    "shift": st.integers(-1, 1),
+                    "matrices": st.dictionaries(st.sampled_from(("0", "1", "x")),
+                                                arrays(arrays(st.integers(0, 9))),
+                                                max_size=2)})
+TENSOR = arrays(objects({"coeff": st.integers(-2, 2),
+                         "word": arrays(st.sampled_from(("x", "y", "z")))}))
+GENS = GeneratorSet.build([("x", 1), ("y", 2)], RingSpec(3, 1))
+
+
+class TestMalformedJson:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        wedge=arrays(WEDGE_TERM) | JUNK,
+        module=MODULE | JUNK,
+        morphism=MORPHISM | JUNK,
+        tensor=TENSOR | JUNK,
+    )
+    def test_readers_refuse_with_input_error(self, wedge, module, morphism, tensor):
+        for read, data in (
+            (MooreWedge.from_json, wedge),
+            (GradedModule.from_json_dict, module),
+            (ModuleMorphism.from_json_dict, morphism),
+            (lambda d: TensorElement.from_json(GENS, d), tensor),
+        ):
+            try:
+                read(data)
+            except InputError:
+                pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=arrays(WEDGE_TERM) | JUNK, b=arrays(WEDGE_TERM) | JUNK)
+    def test_moore_smash_exits_0_or_2(self, a, b):
+        code, out, err = run_cli(["moore-smash", "--a", json.dumps(a),
+                                  "--b", json.dumps(b)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out and err.startswith("invalid input: ")
+            assert err.count("\n") == 1
 
 
 class TestDeterminism:

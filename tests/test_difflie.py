@@ -364,6 +364,31 @@ class TestAcyclicBasis:
                 acyclic_basis(cx)
             assert err.value.spot == (1, 2)
 
+    def test_degree_gap_names_the_block_below_it(self):
+        # degrees 4 and 5 cancel, but nothing at degree 3 can hit the
+        # degree-2 block, so its whole kernel is homology
+        cx = BigradedComplex(
+            3, (((2, 5), 1), ((4, 5), 1), ((5, 5), 1)), (((5, 5), ((2,),)),)
+        )
+        with pytest.raises(NotAcyclicError) as err:
+            acyclic_basis(cx)
+        assert err.value.spot == (2, 5)
+        assert str(err.value) == "nonzero homology at degree 2, weight 5"
+
+    def test_wide_degree_gap_costs_nothing(self):
+        # two exact pairs 10^9 degrees apart: no work per absent degree
+        top = 10 ** 9
+        cx = BigradedComplex(
+            3,
+            (((0, 1), 1), ((1, 1), 1), ((top, 1), 1), ((top + 1, 1), 1)),
+            (((1, 1), ((1,),)), ((top + 1, 1), ((2,),))),
+        )
+        basis = acyclic_basis(cx)
+        assert basis.odd_pairs == (
+            (((1, 1), (1,)), ((0, 1), (1,))),
+            (((top + 1, 1), (2,)), ((top, 1), (1,))),
+        )
+
     def test_constructed_counterexample_names_spot(self):
         # single block with zero differential: homology everywhere
         cx = BigradedComplex(3, (((4, 2), 1),), ())

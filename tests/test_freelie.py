@@ -100,6 +100,20 @@ class TestBasicProducts:
     def test_deterministic_order(self):
         assert basic_products(2, 4) == basic_products(2, 4)
 
+    def test_tree_guard_is_inclusive_and_counts_before_building(self, monkeypatch):
+        from liegrowth import freelie
+
+        # 8800 basic products on two generators to weight 16, 16510 to 17
+        monkeypatch.setattr(freelie, "HALL_GUARD", 8800)
+        basis = hall_basis(2, 16)
+        assert sum(len(basis.at_weight(k)) for k in range(1, 17)) == 8800
+        with pytest.raises(ResourceGuardError) as err:
+            hall_basis(2, 17)
+        assert str(err.value) == (
+            "the basic products on 2 generators up to weight 17 number 16510 "
+            "(max weight 17), above the guard of 8800; this guard has no override"
+        )
+
     def test_weight_one_is_generators(self):
         assert basic_products(3, 1) == (0, 1, 2)
 

@@ -288,6 +288,29 @@ class TestLoopFactorExpansion:
             expected, key=lambda c: (sum(c), c)
         )
 
+    def test_summand_guard_counts_what_is_built(self, monkeypatch):
+        from liegrowth import moore
+
+        factors = hilton_milnor_expansion(2, 3, 3, 1, 20)
+        for top in range(1, 21):
+            built = sum(len(f.wedge.terms) for f in factors if f.weight <= top)
+            assert built == 2 + (top - 1) * top * (top + 1) // 3
+        # the bound is inclusive: 1362 summands to weight 16, 1634 to 17
+        monkeypatch.setattr(moore, "HM_GUARD", 1362)
+        assert len(hilton_milnor_expansion(2, 2, 3, 2, 16)) == 2 + 15 * 16 // 2
+        with pytest.raises(ResourceGuardError) as err:
+            hilton_milnor_expansion(2, 2, 3, 2, 17)
+        assert str(err.value) == (
+            "the expansion to weight 17 has 1634 Moore summands, above the "
+            "guard of 1362; this guard has no override"
+        )
+
+    def test_summand_guard_refuses_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="8999902 Moore summands"):
+            hilton_milnor_expansion(2, 2, 3, 2, 300)
+        assert time.perf_counter() - start < 1
+
 
 class TestGrowthCertificate:
     def test_params_validation(self):
@@ -297,6 +320,12 @@ class TestGrowthCertificate:
             GrowthParams(2, 2, 3, 1, 2, 0, 5)  # s > r
         with pytest.raises(UnsupportedInputError):
             GrowthParams(2, 2, 2, 1, 1, 0, 5)  # p^r = 2
+
+    def test_weight_cap_keeps_the_asymptote_a_float(self):
+        cert = growth_certificate(GrowthParams(2, 2, 5, 2, 2, 7, 517))
+        assert cert.contributions[-1].to_json_dict()["asymptote"] > 1e308
+        with pytest.raises(InputError, match="above 517"):
+            GrowthParams(2, 2, 5, 2, 2, 7, 518)
 
     def test_per_weight_counts(self):
         cert = growth_certificate(GrowthParams(2, 2, 5, 2, 2, 7, 14))

@@ -21,6 +21,7 @@ from liegrowth.difflie import (
     differentiate,
     homology,
 )
+from liegrowth.errors import NotAcyclicError
 from liegrowth.freelie import (
     FreeNAElement,
     GeneratorSet,
@@ -131,32 +132,15 @@ def conjugated_cone_complex(rng, p, weight, a, b, base_degree):
     are the obvious inclusion/projection conjugated by random invertible
     matrices on each level.
     """
-
-    def random_invertible(n):
-        while True:
-            m = np.array(
-                [[rng.randrange(p) for _ in range(n)] for _ in range(n)],
-                dtype=np.int64,
-            )
-            if _fp.rank(m, p) == n:
-                return m
-
-    def inverse(m):
-        n = len(m)
-        aug = np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1)
-        rows, piv = _fp.rref(aug, p)
-        assert piv == list(range(n))
-        return rows[:, n:]
-
-    q0 = random_invertible(b)
-    q1 = random_invertible(a + b)
-    q2 = random_invertible(a)
+    q0 = random_invertible(rng, b, p)
+    q1 = random_invertible(rng, a + b, p)
+    q2 = random_invertible(rng, a, p)
     d2 = np.zeros((a + b, a), dtype=np.int64)
     d2[:a] = np.eye(a, dtype=np.int64)
     d1 = np.zeros((b, a + b), dtype=np.int64)
     d1[:, a:] = np.eye(b, dtype=np.int64)
-    d2 = (q1 @ d2 @ inverse(q2)) % p
-    d1 = (q0 @ d1 @ inverse(q1)) % p
+    d2 = (q1 @ d2 @ inverse_mod(q2, p)) % p
+    d1 = (q0 @ d1 @ inverse_mod(q1, p)) % p
     ranks = (
         ((base_degree, weight), b),
         ((base_degree + 1, weight), a + b),
@@ -167,6 +151,80 @@ def conjugated_cone_complex(rng, p, weight, a, b, base_degree):
         ((base_degree + 2, weight), tuple(map(tuple, d2.tolist()))),
     )
     return BigradedComplex(p, ranks, diffs)
+
+
+def random_invertible(rng, n, p):
+    while True:
+        m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if python_rank(m, p) == n:
+            return np.array(m, dtype=np.int64)
+
+
+def inverse_mod(m, p):
+    n = len(m)
+    rows, piv = _fp.rref(np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1), p)
+    assert piv == list(range(n))
+    return rows[:, n:]
+
+
+@st.composite
+def split_complexes(draw):
+    """A random complex over F_p, p in {2, 3, 5}, with one to three weights.
+
+    Each weight is a sum of pairs (a basis vector at degree deg sent to one
+    at deg - 1) and, unless the draw is exact, of lone cycles, on degrees
+    0..6, so blocks with absent degrees between them are common.  Every
+    block's basis is then changed by a random invertible matrix.  A zero
+    differential is given as an explicit zero matrix or left out, and a
+    rank-0 block is sometimes listed.
+    """
+    p = draw(st.sampled_from((2, 3, 5)))
+    exact = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    ranks, diffs = [], []
+    for w in draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)):
+        tops = draw(st.lists(st.integers(1, 6), max_size=4))
+        singles = [] if exact else draw(st.lists(st.integers(0, 6), max_size=2))
+        labels = {}
+        for i, deg in enumerate(tops):
+            labels.setdefault(deg, []).append(("top", i))
+            labels.setdefault(deg - 1, []).append(("bottom", i))
+        for deg in singles:
+            labels.setdefault(deg, []).append(("single", deg))
+        change = {}
+        for deg, block in sorted(labels.items()):
+            rng.shuffle(block)
+            ranks.append(((deg, w), len(block)))
+            change[deg] = random_invertible(rng, len(block), p)
+        for deg in sorted(labels):
+            if deg - 1 not in labels:
+                continue
+            split = np.zeros((len(labels[deg - 1]), len(labels[deg])), dtype=np.int64)
+            for j, (kind, i) in enumerate(labels[deg]):
+                if kind == "top":
+                    split[labels[deg - 1].index(("bottom", i)), j] = 1
+            if split.any() or draw(st.booleans()):
+                mat = change[deg - 1] @ split @ inverse_mod(change[deg], p) % p
+                diffs.append(((deg, w), tuple(map(tuple, mat.tolist()))))
+        if draw(st.booleans()):
+            ranks.append(((7, w), 0))
+    return BigradedComplex(p, tuple(ranks), tuple(diffs))
+
+
+def homology_spots(cx):
+    """(weight, degree) of every block with r - rank d_deg - rank d_{deg+1}
+    nonzero, in the order acyclic_basis walks them."""
+
+    def rank_of(deg, w):
+        mat = cx.diff_at(deg, w)
+        return python_rank([list(r) for r in mat], cx.p) if mat else 0
+
+    return [
+        (w, deg)
+        for w in cx.weights()
+        for deg in sorted(d for (d, wt), r in cx.ranks if wt == w and r)
+        if cx.rank_at(deg, w) - rank_of(deg, w) - rank_of(deg + 1, w)
+    ]
 
 
 class TestAcyclicBasisOnRandomComplexes:
@@ -191,6 +249,29 @@ class TestAcyclicBasisOnRandomComplexes:
                 assert top[0][0] % 2 == 0
             for top, _ in basis.odd_pairs:
                 assert top[0][0] % 2 == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(cx=split_complexes())
+    def test_refuses_exactly_at_the_first_homology(self, cx):
+        spots = homology_spots(cx)
+        if spots:
+            w, deg = spots[0]
+            with pytest.raises(NotAcyclicError) as err:
+                acyclic_basis(cx)
+            assert err.value.spot == (deg, w)
+            assert str(err.value) == f"nonzero homology at degree {deg}, weight {w}"
+            return
+        basis = acyclic_basis(cx)
+        pairs = basis.all_pairs()
+        assert 2 * len(pairs) == sum(r for _, r in cx.ranks)
+        for top, bottom in pairs:
+            (deg, w), coords = top
+            assert bottom[0] == (deg - 1, w)
+            mat = cx.diff_at(deg, w)
+            image = [sum(a * x for a, x in zip(row, coords)) % cx.p for row in mat]
+            assert image == list(bottom[1])
+        assert all(top[0][0] % 2 == 0 for top, _ in basis.even_pairs)
+        assert all(top[0][0] % 2 == 1 for top, _ in basis.odd_pairs)
 
 
 # ---------------------------------------------------------------------------
