@@ -55,6 +55,7 @@ def _parse_gens(text: str):
 
 
 def cmd_witt(args):
+    freelie.check_witt_digits(args.n, args.max_k)
     rows = [(k, freelie.witt(args.n, k)) for k in range(1, args.max_k + 1)]
     payload = {"n": args.n, "witt": [[k, w] for k, w in rows]}
     csv = [("k", "witt")] + rows
@@ -68,15 +69,16 @@ def cmd_hall(args):
     csv = [("k", "count", "witt")]
     for k in range(1, args.max_k + 1):
         trees = basis.at_weight(k)
+        witt = freelie.witt(args.n, k)
         payload["weights"].append(
             {
                 "k": k,
                 "count": len(trees),
-                "witt": freelie.witt(args.n, k),
+                "witt": witt,
                 "products": [freelie.tree_to_names(t, names) for t in trees],
             }
         )
-        csv.append((k, len(trees), freelie.witt(args.n, k)))
+        csv.append((k, len(trees), witt))
     return payload, csv
 
 
@@ -212,6 +214,8 @@ def cmd_moore_smash(args):
 
 def cmd_moore_hm(args):
     factors = moore.hilton_milnor_expansion(args.n, args.m, args.p, args.r, args.max_k)
+    if args.format == "csv" and factors:  # only the CSV wedge column prints p^r
+        moore.prime_power(args.p, args.r)
     payload = {
         "n": args.n,
         "m": args.m,
@@ -229,7 +233,7 @@ def cmd_moore_hm(args):
     }
     csv = [("k", "k1", "k2", "count", "wedge")]
     for f in factors:
-        csv.append((f.weight, f.k1, f.k2, f.count, str(f.wedge)))
+        csv.append((f.weight, f.k1, f.k2, f.count, f.wedge))  # str() when printed
     return payload, csv
 
 

@@ -179,15 +179,21 @@ class HomologyReport:
 
 @functools.lru_cache(maxsize=None)
 def _rank_data(gens: GeneratorSet, spec: DifferentialSpec, k: int):
-    """Per-degree (dim, rank of d out of the degree) over F_p at weight k."""
+    """Per-degree (dim, rank of d out of the degree) over F_p at weight k.
+
+    d(L_k) lies in L_k, so the images in the degree below are combinations
+    of that block's rref rows, whose coordinates are the entries at its
+    pivots; the rank is taken on those columns alone (bigraded_complex
+    checks the membership).
+    """
     p = gens.ring.p
     blocks = _span_blocks(gens, k, 1)
     dims = {deg: len(rows) for deg, (_, _, rows, _) in blocks.items() if len(rows)}
-    ranks = {
-        deg: _fp.rank(_derive(gens, spec.images, k, deg, blocks[deg][2], p), p)
-        if deg - 1 in blocks else 0
-        for deg in dims
-    }
+    ranks = {}
+    for deg in dims:
+        below = blocks.get(deg - 1)
+        ranks[deg] = 0 if below is None else _fp.rank(
+            _derive(gens, spec.images, k, deg, blocks[deg][2], p, below[3]), p)
     return dims, ranks
 
 

@@ -18,6 +18,7 @@ is a pair (left, right).  Both are hashable and cheap to compare.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .zpmod import GradedModule, RingSpec, _index, _json, _snf_numpy
 WORD_GUARD = 2 ** 20  # n^k above this is refused
 BLOCK_GUARD = 2 ** 14  # a (weight, degree) block wider than this is refused
 HALL_GUARD = 2 ** 16  # more basic products than this, over all weights, are refused
+WITT_DIGIT_GUARD = 2 ** 19  # a witt table estimated at more digits is refused
 
 
 @dataclass(frozen=True)
@@ -326,13 +328,32 @@ def witt(n: int, k: int) -> int:
     """(1/k) * sum over d | k of mu(d) n^{k/d}; always an exact integer."""
     if n < 1 or k < 1:
         raise InputError("witt needs positive n and k")
+    if n == 1:  # the sum of mu(d) over d | k
+        return int(k == 1)
     total = 0
-    for d in range(1, k + 1):
+    for d in range(1, math.isqrt(k) + 1):
         if k % d == 0:
             total += mobius(d) * n ** (k // d)
+            if d * d != k:
+                total += mobius(k // d) * n ** d
     if total % k:
         raise AssertionError(f"Witt sum {total} not divisible by {k}")
     return total // k
+
+
+def check_witt_digits(n: int, max_k: int):
+    """Refuse a table of W_n(1..max_k) whose decimal digits, estimated as
+    max_k + log10(n) max_k (max_k + 1) / 2 (at least one per entry), pass
+    WITT_DIGIT_GUARD, or whose last entry, of about max_k log10(n) digits,
+    Python could not print (4300 digits).  Nothing is computed first."""
+    per_k = math.log10(max(n, 1))
+    digits = max_k + per_k * max_k * (max_k + 1) / 2
+    if digits > WITT_DIGIT_GUARD or max_k * per_k >= 4300:
+        raise ResourceGuardError(
+            f"W_{n}(1..{max_k}) has about {digits:.0f} digits, the last about "
+            f"{max_k * per_k:.0f}, above the guard of {WITT_DIGIT_GUARD} in all "
+            "or 4300 in one; this guard has no override"
+        )
 
 
 @dataclass(frozen=True)
@@ -363,8 +384,15 @@ def hall_basis(n_gens: int, max_weight: int) -> HallBasis:
     """The basic products of weights 1..max_weight.
 
     Before building any tree, refuses more than HALL_GUARD of them in all,
-    counted as the running sum of W_n(k); the guard has no override.
+    counted as the running sum of W_n(k), or more than HALL_GUARD weights,
+    which one generator reaches with a single tree; the guard has no
+    override.
     """
+    if max_weight > HALL_GUARD:
+        raise ResourceGuardError(
+            f"the basic products up to weight {max_weight} span more than "
+            f"{HALL_GUARD} weights; this guard has no override"
+        )
     count = 0
     for k in range(1, max_weight + 1):
         count += witt(n_gens, k)
@@ -376,15 +404,18 @@ def hall_basis(n_gens: int, max_weight: int) -> HallBasis:
             )
     # (tree_sort_key, tree) pairs per weight; kv[2] is the key of v[0].
     per_weight = [[(tree_sort_key(a), a) for a in range(n_gens)]]
+    live = [1]  # the weights below k with a basic product, ascending
     for k in range(2, max_weight + 1):
         found = []
-        for i in range(1, k):
+        for i in live:
             for ku, u in per_weight[i - 1]:
                 for kv, v in per_weight[k - i - 1]:
                     if ku < kv and (isinstance(v, int) or kv[2] <= ku):
                         found.append(((k, 1, ku, kv), (u, v)))
         found.sort()
         per_weight.append(found)
+        if found:
+            live.append(k)
     trees = tuple(tuple(t for _, t in found) for found in per_weight)
     return HallBasis(n_gens, trees[:max_weight])
 
@@ -447,7 +478,7 @@ def _word_codes(degrees: tuple, k: int):
         rest //= n
     index = np.empty(n ** k, dtype=np.intp)
     blocks = {}
-    for deg in np.unique(word_degree).tolist():
+    for deg in sorted(set(word_degree.tolist())):  # np.unique imports numpy.ma
         block = np.flatnonzero(word_degree == deg)
         index[block] = np.arange(len(block))
         blocks[deg] = _frozen(block)
@@ -478,7 +509,8 @@ def _ad(gens: GeneratorSet, a: int, k: int, deg: int, rows, modulus: int):
     return out % modulus
 
 
-def _derive(gens: GeneratorSet, images, k: int, deg: int, rows, modulus: int):
+def _derive(gens: GeneratorSet, images, k: int, deg: int, rows, modulus: int,
+            cols=None):
     """The derivation with the given generator images on a row block.
 
     ``images`` holds one weight-1 FreeNAElement per generator.  Returns d of
@@ -486,24 +518,33 @@ def _derive(gens: GeneratorSet, images, k: int, deg: int, rows, modulus: int):
     deg - 1 block, mod ``modulus``: one Koszul-signed scatter-add per
     (position, letter, image term), where the letter at position i becomes
     a term of its image with sign (-1) to the degree of the letters before i.
+    Given ``cols``, only those columns of the result are built, in order.
     """
     n = gens.n
     blocks, index = _word_codes(gens.degrees, k)
     codes = blocks[deg]
+    width = len(blocks.get(deg - 1, ()))
+    if cols is not None:  # a kept column's place among cols, -1 elsewhere
+        index, width = np.full(len(index), -1), len(cols)
+        index[blocks[deg - 1][list(cols)]] = np.arange(width)
     terms = [(letter, g, c) for letter in range(n) for g, c in images[letter].terms]
     bound = k * len(terms)  # summands that can land on one entry
     rows = _fp.residues(rows, modulus, bound)
-    out = np.zeros((len(rows), len(blocks.get(deg - 1, ()))), dtype=rows.dtype)
+    out = np.zeros((len(rows), width), dtype=rows.dtype)
     odd_prefix = np.zeros(len(codes), dtype=np.intp)
     for i in range(k):
         place = n ** (k - 1 - i)
         digit = codes // place % n
         for letter, g, c in terms:
             src = np.flatnonzero(digit == letter)
+            dst = index[codes[src] + (g - letter) * place]
+            kept = dst >= 0
+            src, dst = src[kept], dst[kept]
             signed = _fp.residues([c, -c], modulus, bound)[odd_prefix[src]]
-            out[:, index[codes[src] + (g - letter) * place]] += rows[:, src] * signed
+            out[:, dst] += rows[:, src] * signed
         odd_prefix ^= np.asarray(gens.degrees)[digit] % 2
-    return out % modulus
+    out %= modulus
+    return out
 
 
 @functools.lru_cache(maxsize=None)

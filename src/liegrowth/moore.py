@@ -26,7 +26,17 @@ from .zpmod import MR_BOUND, _index, _json, is_prime
 
 TRIAL_DIVISION_BOUND = 2 ** 20  # largest trial divisor crt_split tries
 HM_GUARD = 2 ** 16  # a Hilton-Milnor expansion with more Moore summands is refused
+ORDER_BITS = 2 ** 13  # a larger order p^r is refused
 MAX_GROWTH_WEIGHT = 517  # 4^k / (2k) as a float overflows from k = 518
+
+
+def prime_power(p: int, r: int) -> int:
+    """p^r for a prime p and r >= 1, refused above 2^ORDER_BITS: Python
+    prints at most 4300 digits."""
+    order = p ** min(r, ORDER_BITS + 1)  # p >= 2, so no larger r passes
+    if order > 2 ** ORDER_BITS:
+        raise InputError(f"the order {p}^{r} is above 2^{ORDER_BITS}")
+    return order
 
 
 @dataclass(frozen=True, order=True)
@@ -47,7 +57,7 @@ class MooreSummand:
 
     @property
     def order(self) -> int:
-        return self.p ** self.r
+        return prime_power(self.p, self.r)
 
 
 @dataclass(frozen=True)
@@ -219,7 +229,7 @@ def smash(a: MooreWedge, b: MooreWedge) -> MooreWedge:
     if pa != pb:
         raise UnsupportedInputError("smash rules need a single (p, r) throughout")
     p, r = pa
-    if p ** r == 2:
+    if (p, r) == (2, 1):
         raise UnsupportedInputError("the smash rule excludes p^r = 2")
     pairs = []
     for sa, ma in a.terms:
@@ -241,7 +251,7 @@ def smash_power_binomial(n: int, m: int, k1: int, k2: int,
         raise InputError("Moore dimensions must be >= 2")
     if k1 < 0 or k2 < 0 or k1 + k2 < 1:
         raise InputError("need k1, k2 >= 0 with k1 + k2 >= 1")
-    if p ** r == 2:
+    if (p, r) == (2, 1):
         raise UnsupportedInputError("the smash rule excludes p^r = 2")
     return _binomial_wedge(k1 * n + k2 * m, k1 + k2, p, r)
 
@@ -298,7 +308,7 @@ def hilton_milnor_expansion(n: int, m: int, p: int, r: int, max_weight: int):
     2 + (K - 1) K (K + 1) / 3 summands to weight K; more than HM_GUARD are
     refused before any is built, with no override.
     """
-    if p ** r == 2:
+    if (p, r) == (2, 1):
         raise UnsupportedInputError("the smash rule excludes p^r = 2")
     summands = 2 + (max_weight - 1) * max_weight * (max_weight + 1) // 3
     if summands > HM_GUARD:
@@ -347,7 +357,7 @@ class GrowthParams:
             raise InputError(f"p must be prime, got {self.p}")
         if not 1 <= self.s <= self.r:
             raise InputError("need 1 <= s <= r")
-        if self.p ** self.r == 2:
+        if (self.p, self.r) == (2, 1):
             raise UnsupportedInputError("p^r = 2 is excluded")
         if self.j < 0:
             raise InputError("the stable offset j must be >= 0")

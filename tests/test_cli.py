@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -13,6 +16,8 @@ from liegrowth.errors import InputError
 from liegrowth.freelie import GeneratorSet, TensorElement
 from liegrowth.moore import MooreWedge
 from liegrowth.zpmod import GradedModule, ModuleMorphism, RingSpec
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 COMMANDS = {
     "witt": ["witt", "--n", "2", "--max-k", "6"],
@@ -288,6 +293,74 @@ class TestExitCodes:
             code, out, err = run_cli(argv)
             assert time.perf_counter() - start < 1
             assert (code, out, err) == (expected, "", message)
+
+    def test_huge_r_is_never_raised_to_a_power(self):
+        # p^r = 2 is tested as (p, r) == (2, 1); only a printed order needs p^r
+        wedge = json.dumps([{"dim": 2, "p": 3, "r": 10 ** 9, "mult": 1}])
+        start = time.perf_counter()
+        code, out, _ = run_cli(["moore-smash", "--a", wedge, "--b", wedge])
+        assert code == 0 and json.loads(out)["smash"][0]["r"] == 10 ** 9
+        code, out, _ = run_cli(["moore-growth", "--n", "2", "--m", "2", "--p", "5",
+                                "--r", str(10 ** 9), "--s", "2", "--j", "7", "--K", "12"])
+        assert code == 0 and json.loads(out)["params"]["r"] == 10 ** 9
+        hm = ["moore-hm", "--n", "2", "--m", "2", "--p", "3", "--r", str(10 ** 9),
+              "--max-k", "1"]
+        code, out, _ = run_cli(hm)
+        assert code == 0 and json.loads(out)["r"] == 10 ** 9
+        # the CSV wedge column prints P^n(p^r)
+        code, out, err = run_cli(["--format", "csv"] + hm)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == "invalid input: the order 3^1000000000 is above 2^8192\n"
+        # the largest order printed: 2^8192 has 2467 digits
+        code, out, _ = run_cli(["--format", "csv", "moore-hm", "--n", "2", "--m", "2",
+                                "--p", "2", "--r", "8192", "--max-k", "1"])
+        assert code == 0 and out.endswith(f"P^3({2 ** 8192})\n")
+
+    def test_witt_digit_guard(self):
+        # about 524546 digits at K = 1863 for n = 2, one per entry for n = 1;
+        # W_10(4400) has 4397 digits, more than Python prints
+        for argv, expected in (
+            (["witt", "--n", "2", "--max-k", "1862"], 0),
+            (["witt", "--n", "2", "--max-k", "1863"], 3),
+            (["witt", "--n", "1", "--max-k", "524289"], 3),
+            (["witt", "--n", "10", "--max-k", "4400"], 3),
+            (["witt", "--n", str(10 ** 100), "--max-k", "43"], 3),
+            (["witt", "--n", "0", "--max-k", "3"], 2),
+        ):
+            code, out, err = run_cli(argv)
+            assert code == expected, argv
+            if expected == 3:
+                assert not out and err.endswith("this guard has no override\n")
+
+    def test_one_generator_tables(self):
+        code, out, _ = run_cli(["witt", "--n", "1", "--max-k", "3000"])
+        assert code == 0
+        assert json.loads(out)["witt"] == [[k, int(k == 1)] for k in range(1, 3001)]
+        code, out, _ = run_cli(["--format", "csv", "hall", "--n", "1", "--max-k", "3000"])
+        assert code == 0
+        assert out.splitlines() == ["k,count,witt", "1,1,1"] + [
+            f"{k},0,0" for k in range(2, 3001)]
+        # one tree in all, but a row per weight
+        code, out, err = run_cli(["hall", "--n", "1", "--max-k", "65537"])
+        assert (code, out) == (3, "")
+        assert err == ("resource guard: the basic products up to weight 65537 span "
+                       "more than 65536 weights; this guard has no override\n")
+
+    def test_homology_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call, about 10 ms cold
+        script = (
+            "import contextlib, io, sys\n"
+            "from liegrowth import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['homology', '--p', '3', '--deg-x', '2', '--max-weight', '4'])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 # Any JSON value, small enough that no reader is slow on it

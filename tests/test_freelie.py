@@ -73,6 +73,12 @@ class TestWitt:
     def test_table_used_downstream(self):
         assert [witt(2, k) for k in range(1, 7)] == [2, 1, 2, 3, 6, 9]
 
+    def test_matches_the_full_divisor_sum(self):
+        for n in range(1, 6):
+            for k in range(1, 80):
+                full = sum(mobius(d) * n ** (k // d) for d in range(1, k + 1) if k % d == 0)
+                assert witt(n, k) * k == full
+
     def test_always_integral(self):
         for n in range(1, 5):
             for k in range(1, 25):

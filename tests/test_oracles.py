@@ -16,6 +16,7 @@ from liegrowth import _fp
 from liegrowth.difflie import (
     BigradedComplex,
     DifferentialSpec,
+    _rank_data,
     acyclic_basis,
     differential_pair,
     differentiate,
@@ -587,3 +588,86 @@ class TestReadOnlyCaches:
             assert len(array)
             with pytest.raises(ValueError):
                 array[0] = 1
+
+
+def reference_rref(matrix, p):
+    """The int64 elimination _fp.rref ran before its int16 kernel: a
+    nonzero search per column, and row operations over whole rows."""
+    m = np.asarray(matrix).astype(np.int64) % p
+    m = m.reshape(1, -1) if m.ndim == 1 else m
+    nrows, ncols = m.shape
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        inv = pow(int(m[r, c]), -1, p)
+        m[r] = (m[r] * inv) % p
+        hit = np.nonzero(m[:, c])[0]
+        hit = hit[hit != r]
+        if hit.size:
+            m[hit] = (m[hit] - np.outer(m[hit, c], m[r])) % p
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+class TestRrefKernel:
+    def test_int16_up_to_181(self):
+        assert _fp.int_dtype(181, narrow=True) is np.int16
+        assert _fp.int_dtype(191, narrow=True) is np.int64
+        assert _fp.int_dtype(181) is np.int64
+
+    # 181 is the last prime eliminated in int16, 191 takes int64
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 181, 191])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nrows=st.integers(0, 9),
+        ncols=st.integers(0, 400),
+        density=st.sampled_from([0.02, 0.3, 1.0]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        zero_runs=st.lists(st.tuples(st.integers(0, 399), st.integers(1, 300)), max_size=3),
+        dependent=st.booleans(),
+    )
+    def test_matches_int64_reference(self, p, nrows, ncols, density, seed, zero_runs,
+                                     dependent):
+        rng = np.random.default_rng(seed)
+        mat = rng.integers(-2 * p, 2 * p, size=(nrows, ncols))
+        mat *= rng.random((nrows, ncols)) < density
+        for start, length in zero_runs:
+            mat[:, start:start + length] = 0
+        if dependent and nrows > 2:
+            mat[-1] = 2 * mat[0] - mat[1]
+        before = mat.copy()
+        rows, pivots = _fp.rref(mat, p)
+        ref_rows, ref_pivots = reference_rref(mat, p)
+        assert pivots == ref_pivots
+        assert rows.dtype == ref_rows.dtype == np.int64
+        assert np.array_equal(rows, ref_rows)
+        assert np.array_equal(mat, before)
+
+
+class TestRankData:
+    @pytest.mark.parametrize("p, deg_x", [(2, 2), (3, 2), (3, 3), (5, 2)])
+    def test_span_coordinates_give_the_full_width_rank(self, p, deg_x):
+        gens, spec = differential_pair(p, deg_x)
+        for k in range(1, 9):
+            blocks = _span_blocks(gens, k, 1)
+            dims, ranks = _rank_data(gens, spec, k)
+            for deg in dims:
+                if deg - 1 not in blocks:
+                    assert ranks[deg] == 0
+                    continue
+                images = _derive(gens, spec.images, k, deg, blocks[deg][2], p)
+                assert ranks[deg] == _fp.rank(images, p)
+                pivots = blocks[deg - 1][3]
+                assert np.array_equal(
+                    _derive(gens, spec.images, k, deg, blocks[deg][2], p, pivots),
+                    images[:, list(pivots)],
+                )
